@@ -8,7 +8,7 @@ Subcommands
 
 Exit codes: 0 success, 2 configuration error, 3 domain/estimation error,
 4 validation-suite failure.  Every command with a seed is byte-for-byte
-reproducible, independent of --workers.
+reproducible; --workers is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mean-t", type=float, dest="mean_t", help="mean transmission")
         if mc:
             p.add_argument("--realizations", type=int, help="disorder realizations")
-            p.add_argument("--workers", type=int, help="generation workers (never affects results)")
+            p.add_argument("--workers", type=int, help="accepted for compatibility; has no effect")
         if mc or sampler:
             p.add_argument("--shots", type=int, help="photon-count shots")
             p.add_argument("--seed", type=int, help="master seed (required)")
@@ -297,12 +297,9 @@ def _curve_check(name: str, estimate, theory_fn, threshold: float) -> dict:
 def cmd_validate(cfg: dict) -> int:
     seed = cfg["seed"]
     mean_t = cfg["mean_t"]
-    workers = cfg["workers"]
     checks: list[dict] = []
 
-    moment_ens = build_ensemble(
-        np.array(MOMENT_GRID), mean_t, cfg["realizations"], seed, workers=workers
-    )
+    moment_ens = build_ensemble(np.array(MOMENT_GRID), mean_t, cfg["realizations"], seed)
     report_moments = estimate_moments(moment_ens)
     checks.append(
         {
@@ -330,7 +327,7 @@ def cmd_validate(cfg: dict) -> int:
     checks.append({"name": "rayleigh_ks", **rayleigh.to_dict()})
 
     curve_grid = _build_grid(cfg, include_zero=True)
-    curve_ens = build_ensemble(curve_grid, mean_t, cfg["realizations"], seed, workers=workers)
+    curve_ens = build_ensemble(curve_grid, mean_t, cfg["realizations"], seed)
 
     shot = estimate_noise_correlation(curve_ens, QuantumState.coherent(cfg["mean_photons"]))
     checks.append(_curve_check("shot_noise_curve", shot, shot_noise_correlation, Z_CURVES))
@@ -362,9 +359,7 @@ def cmd_validate(cfg: dict) -> int:
     )
 
     counting_r = min(cfg["realizations"], MAX_COUNTING_REALIZATIONS)
-    counting_ens = build_ensemble(
-        np.array(COUNTING_GRID), mean_t, counting_r, seed, workers=workers
-    )
+    counting_ens = build_ensemble(np.array(COUNTING_GRID), mean_t, counting_r, seed)
     coherent = QuantumState.coherent(cfg["mean_photons"])
     counted = estimate_noise_correlation(
         counting_ens, coherent, mode="counting", shots=cfg["shots"], seed=seed

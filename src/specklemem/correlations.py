@@ -248,8 +248,8 @@ class CorrelationCurve:
             self.stderr = np.asarray(self.stderr, dtype=float)
             if self.stderr.shape != self.values.shape:
                 raise DomainError("stderr must match values in shape")
-            if not np.all(self.stderr >= 0):
-                raise DomainError("stderr entries must be >= 0")
+            if not np.all(np.isfinite(self.stderr) & (self.stderr >= 0)):
+                raise DomainError("stderr entries must be finite and >= 0")
 
     def __len__(self) -> int:
         return int(self.offsets.size)

@@ -10,23 +10,28 @@ whose squared modulus reproduces ``intensity_decay`` identically, so every
 Gaussian moment of T = |t|^2 has a closed form to validate against.
 
 Randomness is counter-based: realization r draws from a Philox stream with
-counter (r << 128) | (tag << 64) under the master seed, so ensembles and
-estimates are bit-identical for a fixed seed no matter how many workers
-generate them.  Reductions always run in fixed realization order.
+counter (r << 128) | (tag << 64) under the master seed, so every row of an
+ensemble depends only on the seed and its realization index, and ensembles
+and estimates are bit-identical for a fixed seed.  Generation is a single
+loop and reductions always run in fixed realization order.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy import stats
 
-from .correlations import CorrelationCurve, intensity_decay
+from .correlations import (
+    CorrelationCurve,
+    _checked_mean_transmission,
+    _checked_offset,
+    intensity_decay,
+)
 from .errors import (
     CovarianceModelError,
     DomainError,
@@ -67,9 +72,7 @@ def substream(seed, realization: int, tag: int = FIELD_STREAM) -> np.random.Gene
 
 def field_kernel(x) -> complex:
     """Complex field correlation at offset x >= 0; |kernel|^2 is intensity_decay."""
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"kernel offset must be finite and >= 0, got {x}")
+    x = _checked_offset(x)
     if x == 0.0:
         return 1.0 + 0.0j
     s = (1.0 - 1.0j) * (math.sqrt(x) / 2.0)
@@ -89,13 +92,11 @@ def build_field_covariance(grid, mean_t) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("grid must be a non-empty 1-d array of offsets")
-    if not np.all(np.isfinite(grid)) or np.any(grid < 0.0):
-        raise DomainError("grid offsets must be finite and >= 0")
+    for x in grid:
+        _checked_offset(x)
     if np.any(np.diff(grid) < 0.0):
         raise DomainError("grid offsets must be ordered (non-decreasing)")
-    q = float(mean_t)
-    if not math.isfinite(q) or not 0.0 < q <= 1.0:
-        raise DomainError(f"mean transmission must lie in (0, 1], got {mean_t}")
+    q = _checked_mean_transmission(mean_t)
     k = grid.size
     cov = np.empty((k, k), dtype=complex)
     for j in range(k):
@@ -164,14 +165,13 @@ def generate_ensemble(
     mean_t,
     realizations: int,
     seed,
-    workers: int = 1,
 ) -> SpeckleEnsemble:
     """Draw circular Gaussian amplitude vectors with the given covariance.
 
     Uses a triangular factorization of cov; numerically indefinite matrices
     (eigenvalues within round-off of zero) are clipped and jittered, anything
-    worse raises CovarianceModelError.  The worker count changes only how the
-    independent per-realization substreams are scheduled, never the output.
+    worse raises CovarianceModelError.  Realization r takes its 2K normals
+    from its own substream, so row r depends only on (seed, r).
     """
     cov = np.asarray(cov, dtype=complex)
     grid = np.asarray(grid, dtype=float)
@@ -185,35 +185,23 @@ def generate_ensemble(
     if r_total < 1:
         raise DomainError(f"realizations must be >= 1, got {realizations}")
     seed = _checked_seed(seed)
-    workers = max(1, int(workers))
 
     factor_t = _covariance_factor(cov, float(mean_t)).T.copy()
     root_half = math.sqrt(0.5)
 
     xi = np.empty((r_total, k), dtype=complex)
-
-    def fill(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            raw = substream(seed, r, FIELD_STREAM).standard_normal(2 * k)
-            xi[r] = (raw[:k] + 1j * raw[k:]) * root_half
-
-    if workers == 1 or r_total < 2 * workers:
-        fill(0, r_total)
-    else:
-        chunk = -(-r_total // workers)
-        bounds = [(lo, min(lo + chunk, r_total)) for lo in range(0, r_total, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(fill, lo, hi) for lo, hi in bounds]:
-                future.result()
+    for r in range(r_total):
+        raw = substream(seed, r, FIELD_STREAM).standard_normal(2 * k)
+        xi[r] = (raw[:k] + 1j * raw[k:]) * root_half
 
     amplitudes = xi @ factor_t
     return SpeckleEnsemble(amplitudes=amplitudes, grid=grid, mean_t=float(mean_t), seed=seed)
 
 
 def build_ensemble(grid, mean_t, realizations, seed, workers: int = 1) -> SpeckleEnsemble:
-    """Covariance construction plus generation in one call."""
+    """Covariance construction plus generation in one call; ``workers`` has no effect."""
     cov = build_field_covariance(grid, mean_t)
-    return generate_ensemble(cov, grid, mean_t, realizations, seed, workers=workers)
+    return generate_ensemble(cov, grid, mean_t, realizations, seed)
 
 
 @dataclass(frozen=True)
@@ -225,6 +213,10 @@ class MomentRecord:
     empirical: float
     stderr: float
     theory: float
+
+    def __post_init__(self):
+        if not 0.0 < self.stderr < math.inf:
+            raise EstimationError(f"{self.name} stderr must be finite and > 0, got {self.stderr}")
 
     @property
     def z(self) -> float:
@@ -401,8 +393,10 @@ def estimate_noise_correlation(
         raise DomainError(f"bootstrap needs >= 2 resamples, got {n_boot}")
     v, n_clamped = _per_realization_variances(ens, state, mode, shots, seed, noise_scale)
 
-    prod = v[:, :1] * v
     means_v = v.mean(axis=0)
+    if np.any(means_v == 0.0):
+        raise EstimationError("variance proxy has zero mean: the input carries no noise")
+    prod = v[:, :1] * v
     values = prod.mean(axis=0) / (means_v[0] * means_v) - 1.0
 
     boot_seed = _checked_seed(ens.seed if seed is None else seed)
@@ -483,39 +477,47 @@ def save_ensemble_csv(ens: SpeckleEnsemble, path) -> None:
         fh.write(f"# seed={ens.seed}\n")
         fh.write("# grid=" + ",".join(repr(float(x)) for x in ens.grid) + "\n")
         fh.write("realization,grid_index,re,im\n")
-        for r in range(ens.realizations):
-            row = ens.amplitudes[r]
-            for k in range(ens.grid.size):
-                fh.write(f"{r},{k},{float(row[k].real)!r},{float(row[k].imag)!r}\n")
+        for r, row in enumerate(ens.amplitudes.tolist()):
+            for k, z in enumerate(row):
+                fh.write(f"{r},{k},{z.real!r},{z.imag!r}\n")
 
 
 def load_ensemble_csv(path) -> SpeckleEnsemble:
-    """Read an ensemble written by ``save_ensemble_csv``."""
+    """Read an ensemble written by ``save_ensemble_csv``.
+
+    Rows must run through (realization, grid_index) = (0, 0), (0, 1), ...,
+    (R-1, K-1) in order; a missing, repeated or out-of-range row raises
+    DomainError.
+    """
     meta: dict[str, str] = {}
-    rows: list[tuple[int, int, float, float]] = []
     with open(path, "r", encoding="utf-8") as fh:
+        line = ""
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value.strip()
-                continue
-            if line.startswith("realization"):
-                continue
-            r, k, re, im = line.split(",")
-            rows.append((int(r), int(k), float(re), float(im)))
-    try:
-        grid = np.array([float(v) for v in meta["grid"].split(",")])
-        mean_t = float(meta["mean_t"])
-        seed = int(meta["seed"])
-    except KeyError as exc:
-        raise DomainError(f"ensemble file is missing metadata line {exc}") from exc
-    if not rows:
-        raise DomainError("ensemble file contains no amplitude rows")
-    r_total = max(r for r, _, _, _ in rows) + 1
-    amplitudes = np.zeros((r_total, grid.size), dtype=complex)
-    for r, k, re, im in rows:
-        amplitudes[r, k] = complex(re, im)
+            if not line.startswith("#"):
+                break
+            key, _, value = line[1:].partition("=")
+            meta[key.strip()] = value.strip()
+        try:
+            grid = np.array([float(v) for v in meta["grid"].split(",")])
+            mean_t = float(meta["mean_t"])
+            seed = int(meta["seed"])
+        except KeyError as exc:
+            raise DomainError(f"ensemble file is missing metadata line {exc}") from exc
+        if not line.startswith("realization"):
+            raise DomainError("ensemble file is missing its column header line")
+        try:
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DomainError(f"malformed ensemble row: {exc}") from exc
+    k = grid.size
+    r_total = rows.shape[0] // k
+    index = np.stack(np.divmod(np.arange(r_total * k), k), axis=1)
+    if r_total == 0 or rows.shape != (r_total * k, 4) or not np.array_equal(rows[:, :2], index):
+        raise DomainError(
+            "ensemble rows must be realization,grid_index,re,im for indices "
+            f"(0, 0), (0, 1), ... (R-1, {k - 1}) in order; got {rows.shape[0]} rows"
+        )
+    amplitudes = np.empty((r_total, k), dtype=complex)
+    amplitudes.real = rows[:, 2].reshape(r_total, k)
+    amplitudes.imag = rows[:, 3].reshape(r_total, k)
     return SpeckleEnsemble(amplitudes=amplitudes, grid=grid, mean_t=mean_t, seed=seed)

@@ -252,3 +252,51 @@ def test_load_rejects_incomplete_file(tmp_path):
     path.write_text("realization,grid_index,re,im\n0,0,0.1,0.2\n")
     with pytest.raises(DomainError):
         sm.load_ensemble_csv(path)
+
+
+def test_load_rejects_malformed_index_rows(tmp_path):
+    ens = sm.build_ensemble(np.array([0.0, 1.0, 4.0]), 0.05, 4, SEED)
+    path = tmp_path / "ensemble.csv"
+    sm.save_ensemble_csv(ens, path)
+    lines = path.read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line[0].isdigit())
+    row = first + 4  # realization 1, grid_index 1
+
+    def with_index(k):
+        _, _, re, im = lines[row].split(",")
+        return f"1,{k},{re},{im}"
+
+    cases = {
+        "two missing rows": lines[:row] + lines[row + 2 :],
+        "negative grid_index": lines[:row] + [with_index(-1)] + lines[row + 1 :],
+        "duplicated row": lines[:row] + [lines[row - 1]] + lines[row + 1 :],
+        "grid_index >= K": lines[:row] + [with_index(3)] + lines[row + 1 :],
+    }
+    for name, text in cases.items():
+        path.write_text("".join(text))
+        with pytest.raises(DomainError):
+            sm.load_ensemble_csv(path)
+            pytest.fail(f"{name} loaded without error")
+
+
+def test_moments_reject_constant_amplitudes(ensemble):
+    rigged = sm.SpeckleEnsemble(
+        amplitudes=np.full_like(ensemble.amplitudes[:2000], math.sqrt(0.01) + 0j),
+        grid=ensemble.grid,
+        mean_t=0.01,
+        seed=SEED,
+    )
+    with pytest.raises(EstimationError):
+        sm.estimate_moments(rigged)
+
+
+def test_zero_photon_input_raises_without_warning(ensemble, recwarn):
+    small = sm.build_ensemble(GRID, 0.01, 50, SEED)
+    for state in (sm.QuantumState.coherent(0.0), sm.QuantumState.fock(0)):
+        with pytest.raises(EstimationError):
+            sm.estimate_noise_correlation(ensemble, state)
+    with pytest.raises(EstimationError):
+        sm.estimate_noise_correlation(
+            small, sm.QuantumState.coherent(0.0), mode="counting", shots=10, seed=SEED
+        )
+    assert not recwarn.list
