@@ -54,6 +54,9 @@ SCALE_INVARIANCE_TOL = 1e-12
 MOMENT_GRID = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 COUNTING_GRID = (0.0, 1.0, 4.0, 16.0)
 MAX_COUNTING_REALIZATIONS = 2000
+# Resolved settings echoed in the validate report's "config" block.
+REPORT_CONFIG_KEYS = ("grid_min", "grid_max", "grid_points", "grid_scale", "mean_t",
+                      "realizations", "shots", "seed")
 
 
 class ConfigError(Exception):
@@ -216,6 +219,10 @@ def _write_text(path, text: str) -> None:
             fh.write(text)
 
 
+def _write_json(path, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
     lines = [",".join(header)]
     for row in zip(*columns):
@@ -263,35 +270,29 @@ def cmd_curves(cfg: dict) -> int:
             "figure": cfg["figure"],
             "columns": {name: [float(v) for v in col] for name, col in zip(header, columns)},
         }
-        _write_text(cfg["out"], json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(cfg["out"], payload)
     return EXIT_OK
 
 
+def _points(**columns: np.ndarray) -> list[dict]:
+    """One dict per row of equal-length float arrays, with Python float values."""
+    rows = zip(*(col.tolist() for col in columns.values()))
+    return [dict(zip(columns, row)) for row in rows]
+
+
+def _check(name: str, threshold: float, worst, worst_key: str = "max_abs_z", **fields) -> dict:
+    """A validation check that passes when its worst value is within threshold."""
+    worst = float(worst)  # a NumPy scalar would make "passed" a np.bool_, which json rejects
+    return {"name": name, "threshold": threshold, "passed": worst <= threshold,
+            worst_key: worst, **fields}
+
+
 def _curve_check(name: str, estimate, theory_fn, threshold: float) -> dict:
-    points = []
-    worst = 0.0
-    curve = estimate.curve
-    for x, value, err in zip(curve.offsets, curve.values, curve.stderr):
-        theory = theory_fn(float(x))
-        z = (float(value) - theory) / float(err)
-        worst = max(worst, abs(z))
-        points.append(
-            {
-                "x": float(x),
-                "empirical": float(value),
-                "stderr": float(err),
-                "theory": theory,
-                "z": z,
-            }
-        )
-    return {
-        "name": name,
-        "clamped": estimate.n_clamped,
-        "points": points,
-        "max_abs_z": worst,
-        "threshold": threshold,
-        "passed": worst <= threshold,
-    }
+    c = estimate.curve
+    theory = np.array([theory_fn(x) for x in c.offsets.tolist()], dtype=float)
+    z = (c.values - theory) / c.stderr
+    points = _points(x=c.offsets, empirical=c.values, stderr=c.stderr, theory=theory, z=z)
+    return _check(name, threshold, np.abs(z).max(), clamped=estimate.n_clamped, points=points)
 
 
 def cmd_validate(cfg: dict) -> int:
@@ -300,28 +301,12 @@ def cmd_validate(cfg: dict) -> int:
     checks: list[dict] = []
 
     moment_ens = build_ensemble(np.array(MOMENT_GRID), mean_t, cfg["realizations"], seed)
-    report_moments = estimate_moments(moment_ens)
-    checks.append(
-        {
-            "name": "moment_suite",
-            "records": [r.to_dict() for r in report_moments.records],
-            "max_abs_z": report_moments.max_abs_z(),
-            "threshold": Z_MOMENTS,
-            "passed": report_moments.max_abs_z() <= Z_MOMENTS,
-        }
-    )
-
-    control = [r.to_dict() for r in report_moments.by_name("TT")]
-    control_worst = max(abs(r["z"]) for r in control)
-    checks.append(
-        {
-            "name": "gaussian_negative_control",
-            "records": control,
-            "max_abs_z": control_worst,
-            "threshold": Z_NEGATIVE_CONTROL,
-            "passed": control_worst <= Z_NEGATIVE_CONTROL,
-        }
-    )
+    moments = estimate_moments(moment_ens)
+    records = [r.to_dict() for r in moments.records]
+    checks.append(_check("moment_suite", Z_MOMENTS, moments.max_abs_z(), records=records))
+    control = [r.to_dict() for r in moments.by_name("TT")]
+    worst = max(abs(r["z"]) for r in control)
+    checks.append(_check("gaussian_negative_control", Z_NEGATIVE_CONTROL, worst, records=control))
 
     rayleigh = rayleigh_check(moment_ens, significance=KS_SIGNIFICANCE)
     checks.append({"name": "rayleigh_ks", **rayleigh.to_dict()})
@@ -338,14 +323,9 @@ def cmd_validate(cfg: dict) -> int:
     )
 
     rescaled = estimate_noise_correlation(curve_ens, CLASSICAL, noise_scale=7.3)
-    scale_diff = float(np.abs(classical.curve.values - rescaled.curve.values).max())
+    scale_diff = np.abs(classical.curve.values - rescaled.curve.values).max()
     checks.append(
-        {
-            "name": "noise_scale_invariance",
-            "max_abs_diff": scale_diff,
-            "threshold": SCALE_INVARIANCE_TOL,
-            "passed": scale_diff <= SCALE_INVARIANCE_TOL,
-        }
+        _check("noise_scale_invariance", SCALE_INVARIANCE_TOL, scale_diff, "max_abs_diff")
     )
 
     thermal = estimate_noise_correlation(curve_ens, QuantumState.thermal(1.0))
@@ -365,58 +345,22 @@ def cmd_validate(cfg: dict) -> int:
         counting_ens, coherent, mode="counting", shots=cfg["shots"], seed=seed
     )
     analytic = estimate_noise_correlation(counting_ens, coherent)
-    points = []
-    worst = 0.0
-    for x, cv, ce, av, ae in zip(
-        counted.curve.offsets,
-        counted.curve.values,
-        counted.curve.stderr,
-        analytic.curve.values,
-        analytic.curve.stderr,
-    ):
-        combined = float(np.hypot(ce, ae))
-        n_sigma = abs(float(cv) - float(av)) / combined
-        worst = max(worst, n_sigma)
-        points.append(
-            {
-                "x": float(x),
-                "counting": float(cv),
-                "analytic": float(av),
-                "stderr_combined": combined,
-                "n_sigma": n_sigma,
-            }
-        )
+    c, a = counted.curve, analytic.curve
+    combined = np.hypot(c.stderr, a.stderr)
+    n_sigma = np.abs(c.values - a.values) / combined
+    points = _points(x=c.offsets, counting=c.values, analytic=a.values,
+                     stderr_combined=combined, n_sigma=n_sigma)
     checks.append(
-        {
-            "name": "counting_mode_consistency",
-            "shots": counted.shots_per_realization,
-            "realizations": counting_r,
-            "points": points,
-            "max_n_sigma": worst,
-            "threshold": Z_CURVES,
-            "passed": worst <= Z_CURVES,
-        }
+        _check("counting_mode_consistency", Z_CURVES, n_sigma.max(), "max_n_sigma",
+               shots=counted.shots_per_realization, realizations=counting_r, points=points)
     )
 
-    report = {
-        "config": {
-            "grid_min": cfg["grid_min"],
-            "grid_max": cfg["grid_max"],
-            "grid_points": cfg["grid_points"],
-            "grid_scale": cfg["grid_scale"],
-            "mean_t": mean_t,
-            "realizations": cfg["realizations"],
-            "shots": cfg["shots"],
-            "seed": seed,
-            "moment_grid": list(MOMENT_GRID),
-            "counting_grid": list(COUNTING_GRID),
-            "counting_realizations": counting_r,
-        },
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
-    _write_text(cfg["out"], json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK if report["passed"] else EXIT_SUITE
+    config = {key: cfg[key] for key in REPORT_CONFIG_KEYS}
+    config.update(moment_grid=list(MOMENT_GRID), counting_grid=list(COUNTING_GRID),
+                  counting_realizations=counting_r)
+    passed = all(check["passed"] for check in checks)
+    _write_json(cfg["out"], {"config": config, "checks": checks, "passed": passed})
+    return EXIT_OK if passed else EXIT_SUITE
 
 
 def cmd_sample_stats(cfg: dict) -> int:
@@ -449,7 +393,7 @@ def cmd_sample_stats(cfg: dict) -> int:
                 "stderr_fano": _json_float(summary.stderr_fano),
             },
         }
-        _write_text(cfg["out"], json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(cfg["out"], payload)
     return EXIT_OK
 
 
@@ -460,7 +404,7 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         if cfg["show_config"]:
             shown = {k: v for k, v in cfg.items() if k != "show_config"}
-            sys.stdout.write(json.dumps(shown, indent=2, sort_keys=True) + "\n")
+            _write_json(None, shown)
             return EXIT_OK
         _check_config(cfg)
         if cfg["command"] == "curves":

@@ -64,6 +64,17 @@ def _checked_seed(seed) -> int:
     return s
 
 
+def _checked_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise DomainError("grid must be a non-empty 1-d array of offsets")
+    for x in grid:
+        _checked_offset(x)
+    if np.any(np.diff(grid) < 0.0):
+        raise DomainError("grid offsets must be ordered (non-decreasing)")
+    return grid
+
+
 def substream(seed, realization: int, tag: int = FIELD_STREAM) -> np.random.Generator:
     """Counter-based generator, independent for every (seed, realization, tag)."""
     counter = (int(realization) << 128) | (int(tag) << 64)
@@ -89,13 +100,7 @@ def build_field_covariance(grid, mean_t) -> np.ndarray:
     negative differences so the matrix is exactly Hermitian; the diagonal
     equals mean_t.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("grid must be a non-empty 1-d array of offsets")
-    for x in grid:
-        _checked_offset(x)
-    if np.any(np.diff(grid) < 0.0):
-        raise DomainError("grid offsets must be ordered (non-decreasing)")
+    grid = _checked_grid(grid)
     q = _checked_mean_transmission(mean_t)
     k = grid.size
     cov = np.empty((k, k), dtype=complex)
@@ -485,26 +490,32 @@ def save_ensemble_csv(ens: SpeckleEnsemble, path) -> None:
 def load_ensemble_csv(path) -> SpeckleEnsemble:
     """Read an ensemble written by ``save_ensemble_csv``.
 
-    Rows must run through (realization, grid_index) = (0, 0), (0, 1), ...,
-    (R-1, K-1) in order; a missing, repeated or out-of-range row raises
-    DomainError.
+    Rows must follow the header directly and run through (realization,
+    grid_index) = (0, 0), (0, 1), ..., (R-1, K-1) in order; a missing,
+    repeated or out-of-range row raises DomainError, and so does metadata
+    that ``build_ensemble`` would reject.
     """
     meta: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        line = ""
-        for line in fh:
-            if not line.startswith("#"):
-                break
+        line = fh.readline()
+        while line.startswith("#"):
             key, _, value = line[1:].partition("=")
             meta[key.strip()] = value.strip()
+            line = fh.readline()
         try:
-            grid = np.array([float(v) for v in meta["grid"].split(",")])
-            mean_t = float(meta["mean_t"])
-            seed = int(meta["seed"])
+            grid = _checked_grid([float(v) for v in meta["grid"].split(",")])
+            mean_t = _checked_mean_transmission(meta["mean_t"])
+            seed = _checked_seed(meta["seed"])
         except KeyError as exc:
             raise DomainError(f"ensemble file is missing metadata line {exc}") from exc
+        except ValueError as exc:
+            raise DomainError(f"malformed ensemble metadata: {exc}") from exc
         if not line.startswith("realization"):
             raise DomainError("ensemble file is missing its column header line")
+        start = fh.tell()
+        if not fh.readline().strip():
+            raise DomainError("ensemble file has no rows after its column header line")
+        fh.seek(start)
         try:
             rows = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:

@@ -156,6 +156,32 @@ def test_validate_report_has_z_scores(tmp_path):
     assert all("z" in r for r in moment["records"])
     curve = report["checks"][3]
     assert all("z" in p for p in curve["points"])
+    control = report["checks"][1]
+    assert control["records"] == [r for r in moment["records"] if r["name"] == "TT"]
+
+    # Recompute every score from the report's own numbers and every gate from its scores.
+    worst_keys = {
+        "noise_scale_invariance": "max_abs_diff",
+        "counting_mode_consistency": "max_n_sigma",
+    }
+    for check in report["checks"]:
+        name = check["name"]
+        if name == "rayleigh_ks":
+            assert check["passed"] == (check["pvalue"] > check["significance"])
+            continue
+        rows = check.get("records", check.get("points", []))
+        if name == "counting_mode_consistency":
+            scores = [abs(p["counting"] - p["analytic"]) / p["stderr_combined"] for p in rows]
+            assert [p["n_sigma"] for p in rows] == scores
+        else:
+            z = [(r["empirical"] - r["theory"]) / r["stderr"] for r in rows]
+            assert [r["z"] for r in rows] == z
+            scores = [abs(v) for v in z]
+        worst_key = worst_keys.get(name, "max_abs_z")
+        if rows:
+            assert check[worst_key] == max(scores)
+        assert check["passed"] == (check[worst_key] <= check["threshold"])
+    assert report["passed"] == all(c["passed"] for c in report["checks"])
 
 
 def test_validate_needs_seed():

@@ -279,6 +279,32 @@ def test_load_rejects_malformed_index_rows(tmp_path):
             pytest.fail(f"{name} loaded without error")
 
 
+def test_load_rejects_bad_metadata_without_warning(tmp_path, recwarn):
+    ens = sm.build_ensemble(np.array([0.0, 1.0, 4.0]), 0.05, 4, SEED)
+    path = tmp_path / "ensemble.csv"
+    sm.save_ensemble_csv(ens, path)
+    lines = path.read_text().splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if line.startswith("realization"))
+
+    def with_meta(key, value):
+        return [f"# {key}={value}\n" if line.startswith(f"# {key}=") else line for line in lines]
+
+    cases = {
+        "non-numeric grid offset": with_meta("grid", "0.0,abc,4.0"),
+        "non-integer seed": with_meta("seed", "x"),
+        "header but no rows": lines[: header + 1],
+        "NaN mean_t": with_meta("mean_t", "nan"),
+        "decreasing grid": with_meta("grid", "4.0,1.0,0.0"),
+        "negative seed": with_meta("seed", "-5"),
+    }
+    for name, text in cases.items():
+        path.write_text("".join(text))
+        with pytest.raises(DomainError):
+            sm.load_ensemble_csv(path)
+            pytest.fail(f"{name} loaded without error")
+    assert not recwarn.list
+
+
 def test_moments_reject_constant_amplitudes(ensemble):
     rigged = sm.SpeckleEnsemble(
         amplitudes=np.full_like(ensemble.amplitudes[:2000], math.sqrt(0.01) + 0j),
