@@ -53,6 +53,10 @@ FIELD_STREAM = 0
 COUNT_STREAM = 1
 BOOT_STREAM = 2
 
+# Bootstrap resamples whose counts share one matrix product: at R = 1e5 each
+# of the block's index, count and weight arrays takes 6.4 MB.
+_BOOT_BLOCK = 8
+
 _MIN_MOMENT_REALIZATIONS = 100
 _MIN_RAYLEIGH_REALIZATIONS = 1000
 
@@ -341,18 +345,26 @@ def _per_realization_variances(
     shots,
     seed,
     noise_scale: float,
-) -> tuple[np.ndarray, int]:
-    """Variance proxy v[r, k] for every realization and grid point."""
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Variance proxy v[r, k] for every realization and grid point.
+
+    Also returns the per-realization estimate of v0^2 used at x = 0.  In
+    counting mode v0 * v0 would carry the sampling variance of v0 itself, so
+    the estimate is the product of the sample variances of two disjoint
+    halves of the reference shots, which are independent given T.
+    """
     t = ens.transmissions
     n_clamped = int(np.count_nonzero(t > 1.0))
     t = np.minimum(t, 1.0)
 
     if mode == "analytic_variance":
         if state == CLASSICAL:
-            return transmitted_variance_classical(1.0, t, noise_scale), n_clamped
-        if not isinstance(state, QuantumState):
+            v = transmitted_variance_classical(1.0, t, noise_scale)
+        elif isinstance(state, QuantumState):
+            v = transmitted_variance_quantum(state, t)
+        else:
             raise DomainError(f"state must be a QuantumState or {CLASSICAL!r}")
-        return transmitted_variance_quantum(state, t), n_clamped
+        return v, v[:, 0] * v[:, 0], n_clamped
 
     if mode != "counting":
         raise DomainError(f"unknown estimation mode {mode!r}")
@@ -361,16 +373,22 @@ def _per_realization_variances(
     if state.kind == "custom":
         raise UnsupportedSamplingError("counting mode cannot sample custom states")
     shots = int(shots) if shots is not None else 0
-    if shots < 2:
-        raise DomainError(f"counting mode needs shots >= 2, got {shots}")
+    if shots < 4:
+        raise DomainError(
+            f"counting mode needs shots >= 4 (two halves of >= 2 shots at x = 0), got {shots}"
+        )
     seed = _checked_seed(ens.seed if seed is None else seed)
+    half = shots // 2
     v = np.empty_like(t)
+    v00 = np.empty(ens.realizations)
     for r in range(ens.realizations):
         rng = substream(seed, r, COUNT_STREAM)
         for k in range(t.shape[1]):
             counts = sample_transmitted_counts(state, t[r, k], shots, rng)
             v[r, k] = counts.var(ddof=1)
-    return v, n_clamped
+            if k == 0:
+                v00[r] = counts[:half].var(ddof=1) * counts[half:].var(ddof=1)
+    return v, v00, n_clamped
 
 
 def estimate_noise_correlation(
@@ -388,30 +406,40 @@ def estimate_noise_correlation(
     variance evaluated at T = |t|^2 (mode "analytic_variance") or the
     unbiased sample variance of drawn photon counts (mode "counting").  The
     curve value at x_k is  mean_r[v_0 v_k] / (mean_r[v_0] mean_r[v_k]) - 1,
-    with bootstrap standard errors over realizations.  Transmission values
-    above 1 (possible Gaussian tails near mean_t = 1) are clamped and
-    counted in ``n_clamped``.
+    where counting mode estimates v_0^2 at x_0 from disjoint halves of the
+    shots (so it needs shots >= 4).  Standard errors come from ``n_boot``
+    bootstrap resamples of the realizations, drawn from the BOOT_STREAM
+    substream; each block of resamples is a matrix of resample counts whose
+    means are one matrix product.  Transmission values above 1 (possible
+    Gaussian tails near mean_t = 1) are clamped and counted in ``n_clamped``.
     """
     if ens.realizations < 2:
         raise EstimationError("correlation estimation needs >= 2 realizations")
     if n_boot < 2:
         raise DomainError(f"bootstrap needs >= 2 resamples, got {n_boot}")
-    v, n_clamped = _per_realization_variances(ens, state, mode, shots, seed, noise_scale)
+    v, v00, n_clamped = _per_realization_variances(ens, state, mode, shots, seed, noise_scale)
 
     means_v = v.mean(axis=0)
     if np.any(means_v == 0.0):
         raise EstimationError("variance proxy has zero mean: the input carries no noise")
     prod = v[:, :1] * v
+    prod[:, 0] = v00
     values = prod.mean(axis=0) / (means_v[0] * means_v) - 1.0
 
     boot_seed = _checked_seed(ens.seed if seed is None else seed)
     brng = substream(boot_seed, 0, BOOT_STREAM)
     r_total = ens.realizations
     boot = np.empty((n_boot, v.shape[1]))
-    for b in range(n_boot):
-        idx = brng.integers(0, r_total, size=r_total)
-        mv = v[idx].mean(axis=0)
-        boot[b] = prod[idx].mean(axis=0) / (mv[0] * mv) - 1.0
+    for start in range(0, n_boot, _BOOT_BLOCK):
+        n = min(_BOOT_BLOCK, n_boot - start)
+        # Row i draws exactly the indices of the i-th of n successive size-R draws;
+        # offsetting row i by i * R lets one bincount count every row at once.
+        idx = brng.integers(0, r_total, size=(n, r_total))
+        idx += (np.arange(n) * r_total)[:, None]
+        weights = np.bincount(idx.ravel(), minlength=n * r_total).reshape(n, r_total)
+        weights = weights.astype(float)
+        mv = weights @ v / r_total
+        boot[start:start + n] = (weights @ prod / r_total) / (mv[:, :1] * mv) - 1.0
     stderr = boot.std(axis=0, ddof=1)
 
     if state == CLASSICAL:

@@ -1,8 +1,10 @@
 """CLI contracts: file formats, reproducibility, config handling, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +148,25 @@ def test_validate_workers_do_not_change_report(tmp_path):
     assert cli.main(_FAST_VALIDATE + ["--workers", "1", "--out", str(a)]) == 0
     assert cli.main(_FAST_VALIDATE + ["--workers", "4", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_validate_blas_threads_do_not_change_report(tmp_path):
+    # The bootstrap's means are matrix products, so they run through BLAS.
+    src = str(Path(sm.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "specklemem.cli", *_FAST_VALIDATE, "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_validate_report_has_z_scores(tmp_path):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import specklemem as sm
+from specklemem.cli import COUNTING_GRID
+from specklemem.ensemble import BOOT_STREAM
 from specklemem.errors import (
     CovarianceModelError,
     DomainError,
@@ -181,15 +183,60 @@ def test_counting_mode_agrees_with_analytic():
         assert abs(cv - av) <= 4.0 * math.hypot(ce, ae)
 
 
+def test_counting_mode_unbiased_at_zero_offset():
+    # At 20 shots, mean(v0 * v0) carried the sample variance's own sampling
+    # noise and put the x = 0 counting value 4.3-6.1 sigma above analytic mode.
+    state = sm.QuantumState.coherent(10.0)
+    for seed in range(11, 17):
+        ens = sm.build_ensemble(np.array(COUNTING_GRID), 0.01, 1000, seed)
+        counted = sm.estimate_noise_correlation(ens, state, mode="counting", shots=20, seed=seed)
+        analytic = sm.estimate_noise_correlation(ens, state)
+        c, a = counted.curve, analytic.curve
+        assert abs(c.values[0] - a.values[0]) <= 3.0 * math.hypot(c.stderr[0], a.stderr[0])
+
+
 def test_counting_mode_rejects_custom_and_bad_shots(ensemble):
     with pytest.raises(UnsupportedSamplingError):
         sm.estimate_noise_correlation(
             ensemble, sm.QuantumState.custom(1.0, 0.5), mode="counting", shots=10
         )
-    with pytest.raises(DomainError):
-        sm.estimate_noise_correlation(
-            ensemble, sm.QuantumState.coherent(1.0), mode="counting", shots=1
-        )
+    for shots in (1, 3):
+        with pytest.raises(DomainError, match="shots >= 4"):
+            sm.estimate_noise_correlation(
+                ensemble, sm.QuantumState.coherent(1.0), mode="counting", shots=shots
+            )
+
+
+def _resample_loop_reference(ens, v, seed, n_boot):
+    """Values and bootstrap stderr as one gathered resample per loop pass."""
+    prod = v[:, :1] * v
+    means_v = v.mean(axis=0)
+    values = prod.mean(axis=0) / (means_v[0] * means_v) - 1.0
+    brng = sm.substream(seed, 0, BOOT_STREAM)
+    r_total = ens.realizations
+    boot = np.empty((n_boot, v.shape[1]))
+    for b in range(n_boot):
+        idx = brng.integers(0, r_total, size=r_total)
+        mv = v[idx].mean(axis=0)
+        boot[b] = prod[idx].mean(axis=0) / (mv[0] * mv) - 1.0
+    return values, boot.std(axis=0, ddof=1)
+
+
+def test_block_bootstrap_matches_resample_loop():
+    ens = sm.build_ensemble(GRID, 0.01, 3000, SEED)
+    t = np.minimum(ens.transmissions, 1.0)
+    coherent = sm.QuantumState.coherent(10.0)
+    proxies = {
+        sm.CLASSICAL: sm.transmitted_variance_classical(1.0, t, 1.0),
+        coherent: sm.transmitted_variance_quantum(coherent, t),
+    }
+    for state, v in proxies.items():
+        for n_boot in (2, 13, 200):  # 13 is not a whole number of blocks
+            est = sm.estimate_noise_correlation(ens, state, n_boot=n_boot)
+            values, stderr = _resample_loop_reference(ens, v, SEED, n_boot)
+            np.testing.assert_array_equal(est.curve.values, values)
+            np.testing.assert_allclose(est.curve.stderr, stderr, rtol=1e-12, atol=0.0)
+            assert est.n_boot == n_boot
 
 
 def test_unknown_mode_rejected(ensemble):
