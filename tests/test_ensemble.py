@@ -207,13 +207,13 @@ def test_counting_mode_rejects_custom_and_bad_shots(ensemble):
             )
 
 
-def _resample_loop_reference(ens, v, seed, n_boot):
+def _resample_loop_reference(v, seed, n_boot):
     """Values and bootstrap stderr as one gathered resample per loop pass."""
     prod = v[:, :1] * v
     means_v = v.mean(axis=0)
     values = prod.mean(axis=0) / (means_v[0] * means_v) - 1.0
     brng = sm.substream(seed, 0, BOOT_STREAM)
-    r_total = ens.realizations
+    r_total = v.shape[0]
     boot = np.empty((n_boot, v.shape[1]))
     for b in range(n_boot):
         idx = brng.integers(0, r_total, size=r_total)
@@ -233,7 +233,7 @@ def test_block_bootstrap_matches_resample_loop():
     for state, v in proxies.items():
         for n_boot in (2, 13, 200):  # 13 is not a whole number of blocks
             est = sm.estimate_noise_correlation(ens, state, n_boot=n_boot)
-            values, stderr = _resample_loop_reference(ens, v, SEED, n_boot)
+            values, stderr = _resample_loop_reference(v, SEED, n_boot)
             np.testing.assert_array_equal(est.curve.values, values)
             np.testing.assert_allclose(est.curve.stderr, stderr, rtol=1e-12, atol=0.0)
             assert est.n_boot == n_boot
