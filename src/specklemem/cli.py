@@ -8,7 +8,7 @@ Subcommands
 
 Exit codes: 0 success, 2 configuration error, 3 domain/estimation error,
 4 validation-suite failure.  Every command with a seed is byte-for-byte
-reproducible; --workers is accepted and has no effect.
+reproducible.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .correlations import (
 from .ensemble import (
     CLASSICAL,
     COUNT_STREAM,
+    KS_SIGNIFICANCE,
     build_ensemble,
     estimate_moments,
     estimate_noise_correlation,
@@ -43,11 +44,10 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_SUITE = 4
 
-# Validation thresholds (z-scores against theory, KS significance, exactness).
+# Validation thresholds (z-scores against theory, exactness); KS_SIGNIFICANCE is ensemble's.
 Z_MOMENTS = 5.0
 Z_CURVES = 3.0
 Z_NEGATIVE_CONTROL = 3.0
-KS_SIGNIFICANCE = 0.01
 SCALE_INVARIANCE_TOL = 1e-12
 
 # Fixed grid of the moment suite; the curve checks use the configurable grid.
@@ -74,7 +74,6 @@ DEFAULTS: dict = {
     "realizations": 100_000,
     "shots": 1000,
     "seed": None,
-    "workers": 1,
     "out": None,
     "format": None,
     "state": "coherent",
@@ -118,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mean-t", type=float, dest="mean_t", help="mean transmission")
         if mc:
             p.add_argument("--realizations", type=int, help="disorder realizations")
-            p.add_argument("--workers", type=int, help="accepted for compatibility; has no effect")
         if mc or sampler:
             p.add_argument("--shots", type=int, help="photon-count shots")
             p.add_argument("--seed", type=int, help="master seed (required)")
@@ -165,7 +163,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     try:
         cfg["fano"] = _float_list(cfg["fano"])
         cfg["l_over_ell"] = _float_list(cfg["l_over_ell"])
-        for key in ("grid_points", "realizations", "shots", "workers"):
+        for key in ("grid_points", "realizations", "shots"):
             cfg[key] = int(cfg[key])
         for key in ("grid_min", "grid_max", "mean_t", "mean_photons", "transmission"):
             cfg[key] = float(cfg[key])
@@ -308,7 +306,7 @@ def cmd_validate(cfg: dict) -> int:
     worst = max(abs(r["z"]) for r in control)
     checks.append(_check("gaussian_negative_control", Z_NEGATIVE_CONTROL, worst, records=control))
 
-    rayleigh = rayleigh_check(moment_ens, significance=KS_SIGNIFICANCE)
+    rayleigh = rayleigh_check(moment_ens)
     checks.append({"name": "rayleigh_ks", **rayleigh.to_dict()})
 
     curve_grid = _build_grid(cfg, include_zero=True)

@@ -33,6 +33,11 @@ from .errors import DivergenceError, DomainError, SingularParameterError
 # hold at the threshold itself.
 SERIES_SWITCH = 1e-4
 
+# Above this offset cosh sqrt(x) and sinh sqrt(x) equal e^sqrt(x) / 2 to
+# within e^-200 relative, and the cos and sin terms are below e^-100 relative,
+# so the closed forms take their exponential tails, which cannot overflow.
+ASYMPTOTIC_SWITCH = 1e4
+
 
 def _checked_offset(x) -> float:
     x = float(x)
@@ -62,12 +67,17 @@ def intensity_decay(x) -> float:
 
     Evaluates x / (cosh sqrt(x) - cos sqrt(x)).  Monotonically decreasing
     from 1 at x = 0; small offsets use the series denominator
-    1 + x^2/360 + x^4/1814400 to avoid catastrophic cancellation.
+    1 + x^2/360 + x^4/1814400 to avoid catastrophic cancellation, and offsets
+    above ASYMPTOTIC_SWITCH the tail 2 x exp(-sqrt(x)).
     """
     x = _checked_offset(x)
     if x <= SERIES_SWITCH:
         return 1.0 / (1.0 + x * x / 360.0 + x ** 4 / 1814400.0)
     u = math.sqrt(x)
+    if x > ASYMPTOTIC_SWITCH:
+        # Two half factors: neither underflows before the result itself does.
+        h = math.exp(-0.5 * u)
+        return 2.0 * x * h * h
     return x / (math.cosh(u) - math.cos(u))
 
 
@@ -75,9 +85,9 @@ def mesoscopic_kernel(x) -> float:
     """Frequency kernel of the leading mesoscopic (non-Gaussian) correction.
 
     Evaluates (1/x) (sinh sqrt(x) - sin sqrt(x)) / (cosh sqrt(x) - cos sqrt(x)),
-    which behaves as 1/(3 sqrt(x)) for small x.  The zero-offset divergence is
-    an artifact of the plane-wave approximation, so x = 0 raises instead of
-    returning inf.
+    which behaves as 1/(3 sqrt(x)) for small x and as 1/x above
+    ASYMPTOTIC_SWITCH.  The zero-offset divergence is an artifact of the
+    plane-wave approximation, so x = 0 raises instead of returning inf.
     """
     x = _checked_offset(x)
     if x == 0.0:
@@ -89,6 +99,8 @@ def mesoscopic_kernel(x) -> float:
         num = 1.0 / 3.0 + x * x / 2520.0 + x ** 4 / 19958400.0
         den = 1.0 + x * x / 360.0 + x ** 4 / 1814400.0
         return num / (den * math.sqrt(x))
+    if x > ASYMPTOTIC_SWITCH:
+        return 1.0 / x
     u = math.sqrt(x)
     return (math.sinh(u) - math.sin(u)) / ((math.cosh(u) - math.cos(u)) * x)
 

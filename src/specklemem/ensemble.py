@@ -59,6 +59,7 @@ _BOOT_BLOCK = 8
 
 _MIN_MOMENT_REALIZATIONS = 100
 _MIN_RAYLEIGH_REALIZATIONS = 1000
+KS_SIGNIFICANCE = 0.01  # of the Kolmogorov-Smirnov test in rayleigh_check
 
 
 def _checked_seed(seed) -> int:
@@ -117,11 +118,7 @@ def build_field_covariance(grid, mean_t) -> np.ndarray:
 
 
 def _covariance_factor(cov: np.ndarray, mean_t: float) -> np.ndarray:
-    """Lower-triangular factor of cov, clipping round-off indefiniteness."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
+    """Lower-triangular factor of cov: eigh, clip round-off negatives, jitter, Cholesky."""
     eigvals, eigvecs = np.linalg.eigh(cov)
     tol = 1e-10 * mean_t
     if eigvals.min() < -tol:
@@ -177,10 +174,11 @@ def generate_ensemble(
 ) -> SpeckleEnsemble:
     """Draw circular Gaussian amplitude vectors with the given covariance.
 
-    Uses a triangular factorization of cov; numerically indefinite matrices
-    (eigenvalues within round-off of zero) are clipped and jittered, anything
-    worse raises CovarianceModelError.  Realization r takes its 2K normals
-    from its own substream, so row r depends only on (seed, r).
+    The factor is always the Cholesky factor of cov after an eigendecomposition
+    that clips eigenvalues within round-off of zero and adds a 1e-12 * mean_t
+    diagonal jitter; an eigenvalue below -1e-10 * mean_t raises
+    CovarianceModelError.  Realization r takes its 2K normals from its own
+    substream, so row r depends only on (seed, r).
     """
     cov = np.asarray(cov, dtype=complex)
     grid = np.asarray(grid, dtype=float)
@@ -207,8 +205,8 @@ def generate_ensemble(
     return SpeckleEnsemble(amplitudes=amplitudes, grid=grid, mean_t=float(mean_t), seed=seed)
 
 
-def build_ensemble(grid, mean_t, realizations, seed, workers: int = 1) -> SpeckleEnsemble:
-    """Covariance construction plus generation in one call; ``workers`` has no effect."""
+def build_ensemble(grid, mean_t, realizations, seed) -> SpeckleEnsemble:
+    """Covariance construction plus generation in one call."""
     cov = build_field_covariance(grid, mean_t)
     return generate_ensemble(cov, grid, mean_t, realizations, seed)
 
@@ -247,22 +245,12 @@ class MomentReport:
     """Collection of moment records for one ensemble."""
 
     records: list[MomentRecord]
-    realizations: int
-    mean_t: float
 
     def max_abs_z(self) -> float:
         return max(abs(r.z) for r in self.records)
 
     def by_name(self, name: str) -> list[MomentRecord]:
         return [r for r in self.records if r.name == name]
-
-    def to_dict(self) -> dict:
-        return {
-            "realizations": self.realizations,
-            "mean_t": self.mean_t,
-            "records": [r.to_dict() for r in self.records],
-            "max_abs_z": self.max_abs_z(),
-        }
 
 
 def _mean_with_stderr(samples: np.ndarray) -> tuple[float, float]:
@@ -323,7 +311,7 @@ def estimate_moments(ens: SpeckleEnsemble) -> MomentReport:
         emp, se = _abs_sq_mean_jackknife(np.conj(ens.amplitudes[:, 0]) * ens.amplitudes[:, k])
         records.append(MomentRecord("field_corr", x, emp, se, q * q * c))
 
-    return MomentReport(records=records, realizations=r_total, mean_t=q)
+    return MomentReport(records=records)
 
 
 @dataclass
@@ -477,25 +465,23 @@ class RayleighCheck:
         }
 
 
-def rayleigh_check(ens: SpeckleEnsemble, significance: float = 0.01) -> RayleighCheck:
+def rayleigh_check(ens: SpeckleEnsemble) -> RayleighCheck:
     """Kolmogorov-Smirnov test of T at the reference offset against Exp(mean_t).
 
     Circular Gaussian fields imply exponentially distributed intensity, so a
-    well-formed ensemble passes at the configured significance.
+    well-formed ensemble passes at significance KS_SIGNIFICANCE.
     """
     if ens.realizations < _MIN_RAYLEIGH_REALIZATIONS:
         raise EstimationError(
             f"Rayleigh check needs >= {_MIN_RAYLEIGH_REALIZATIONS} "
             f"realizations, got {ens.realizations}"
         )
-    if not 0.0 < significance < 1.0:
-        raise DomainError(f"significance must lie in (0, 1), got {significance}")
     result = stats.kstest(ens.transmissions[:, 0], "expon", args=(0.0, ens.mean_t))
     return RayleighCheck(
         statistic=float(result.statistic),
         pvalue=float(result.pvalue),
-        significance=float(significance),
-        passed=bool(result.pvalue > significance),
+        significance=KS_SIGNIFICANCE,
+        passed=bool(result.pvalue > KS_SIGNIFICANCE),
     )
 
 

@@ -6,13 +6,14 @@ formulas, rounded to the nearest double).
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import specklemem as sm
-from specklemem.correlations import SERIES_SWITCH
+from specklemem.correlations import ASYMPTOTIC_SWITCH, SERIES_SWITCH
 from specklemem.errors import (
     DivergenceError,
     DomainError,
@@ -157,6 +158,27 @@ def test_kernel_series_direct_crossover():
 def test_kernel_positive_everywhere():
     for x in np.geomspace(1e-10, 1e4, 60):
         assert sm.mesoscopic_kernel(x) > 0.0
+
+
+# --- large offsets -----------------------------------------------------------
+
+
+def test_large_offset_tails_match_oracle():
+    # The decay's relative condition number is about sqrt(x)/2 there, so its
+    # bound scales with it.  The linear points straddle x ~ 5.1e5, where
+    # exp(-sqrt(x)) alone is subnormal but the decay is not.
+    offsets = [ASYMPTOTIC_SWITCH, math.nextafter(ASYMPTOTIC_SWITCH, math.inf)]
+    offsets += np.geomspace(1e4, 1e300, 120).tolist() + np.linspace(4.9e5, 5.3e5, 41).tolist()
+    with mp.workdps(50):
+        for x in offsets:
+            decay = sm.intensity_decay(x)
+            exact = _oracle_decay(x)
+            if exact >= sys.float_info.min:
+                assert abs(decay - exact) <= 5e-16 * (math.sqrt(x) / 2) * exact
+            else:
+                assert 0.0 <= decay <= sys.float_info.min
+            exact = _oracle_kernel(x)
+            assert abs(sm.mesoscopic_kernel(x) - exact) <= 2.2e-16 * exact
 
 
 # --- shot-noise and classical-noise correlations ---------------------------
