@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import stats
 
 from .correlations import (
@@ -80,10 +81,32 @@ def _checked_grid(grid) -> np.ndarray:
     return grid
 
 
+class _PhiloxKey(ISeedSequence):
+    """Seed sequence that hands Philox the key words [seed, 0] and nothing else.
+
+    ``Philox(key=seed)`` sets the same key, but first builds a SeedSequence
+    from OS entropy that it never reads; this one costs no system call.
+    """
+
+    def __init__(self, seed: int):
+        self._seed = seed
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise NotImplementedError(
+                f"only the two uint64 Philox key words are provided, not {n_words} {dtype}"
+            )
+        return np.array([self._seed, 0], dtype=np.uint64)
+
+
 def substream(seed, realization: int, tag: int = FIELD_STREAM) -> np.random.Generator:
-    """Counter-based generator, independent for every (seed, realization, tag)."""
+    """Counter-based generator, independent for every (seed, realization, tag).
+
+    The stream is that of ``Philox(key=seed, counter=(realization << 128) |
+    (tag << 64))``, built without drawing OS entropy.
+    """
     counter = (int(realization) << 128) | (int(tag) << 64)
-    return np.random.Generator(np.random.Philox(key=_checked_seed(seed), counter=counter))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(_checked_seed(seed)), counter=counter))
 
 
 def field_kernel(x) -> complex:
@@ -178,7 +201,8 @@ def generate_ensemble(
     that clips eigenvalues within round-off of zero and adds a 1e-12 * mean_t
     diagonal jitter; an eigenvalue below -1e-10 * mean_t raises
     CovarianceModelError.  Realization r takes its 2K normals from its own
-    substream, so row r depends only on (seed, r).
+    substream, so row r depends only on (seed, r); they fill row r of one
+    preallocated array, real parts first.
     """
     cov = np.asarray(cov, dtype=complex)
     grid = np.asarray(grid, dtype=float)
@@ -196,10 +220,15 @@ def generate_ensemble(
     factor_t = _covariance_factor(cov, float(mean_t)).T.copy()
     root_half = math.sqrt(0.5)
 
-    xi = np.empty((r_total, k), dtype=complex)
+    raw = np.empty((r_total, 2 * k))
     for r in range(r_total):
-        raw = substream(seed, r, FIELD_STREAM).standard_normal(2 * k)
-        xi[r] = (raw[:k] + 1j * raw[k:]) * root_half
+        substream(seed, r, FIELD_STREAM).standard_normal(out=raw[r])
+    # Filled in place: no R x K complex temporaries on top of raw and xi.
+    xi = np.empty((r_total, k), dtype=complex)
+    xi.real = raw[:, :k]
+    xi.imag = raw[:, k:]
+    del raw
+    xi *= root_half
 
     amplitudes = xi @ factor_t
     return SpeckleEnsemble(amplitudes=amplitudes, grid=grid, mean_t=float(mean_t), seed=seed)

@@ -71,12 +71,30 @@ class QuantumState:
         return cls(mean_photons=mean_photons, fano=fano, kind="custom")
 
 
+_REAL_SCALARS = (int, float, np.integer, np.floating)
+
+
 def _checked_transmission(transmission):
-    """Validate an intensity transmission coefficient (scalar or array) in [0, 1]."""
-    t = np.asarray(transmission, dtype=float)
-    if not np.all(np.isfinite(t)) or np.any(t < 0.0) or np.any(t > 1.0):
-        raise DomainError("transmission coefficients must lie in [0, 1]")
-    return float(t) if t.ndim == 0 else t
+    """Validate an intensity transmission coefficient (scalar or array) in [0, 1].
+
+    A real number is checked as one float, so NaN fails the comparison;
+    anything else is converted to a float array.  Input that is not a real
+    number or array, complex input included, raises DomainError as well.
+    """
+    try:
+        if isinstance(transmission, _REAL_SCALARS):
+            t = float(transmission)
+            if 0.0 <= t <= 1.0:
+                return t
+        elif not np.iscomplexobj(transmission):
+            t = np.asarray(transmission, dtype=float)
+            if np.all(np.isfinite(t)) and not (np.any(t < 0.0) or np.any(t > 1.0)):
+                return float(t) if t.ndim == 0 else t
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(
+            f"transmission must be a real number or array, got {type(transmission).__name__}"
+        ) from exc
+    raise DomainError("transmission coefficients must lie in [0, 1]")
 
 
 def transmitted_variance_quantum(state: QuantumState, transmission):

@@ -1,13 +1,14 @@
 """Monte Carlo engine: kernel identities, determinism, estimator calibration."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 import specklemem as sm
 from specklemem.cli import COUNTING_GRID, MOMENT_GRID
-from specklemem.ensemble import BOOT_STREAM, _covariance_factor
+from specklemem.ensemble import BOOT_STREAM, COUNT_STREAM, FIELD_STREAM, _covariance_factor
 from specklemem.errors import (
     CovarianceModelError,
     DomainError,
@@ -81,7 +82,66 @@ def test_covariance_factor_reproduces_covariance(grid):
     assert np.abs(factor @ factor.conj().T - cov).max() <= 2e-12 * q
 
 
+# --- substreams -----------------------------------------------------------------
+
+
+def _philox_reference(seed, realization, tag):
+    counter = (realization << 128) | (tag << 64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+
+@pytest.mark.parametrize("tag", [FIELD_STREAM, COUNT_STREAM, BOOT_STREAM])
+@pytest.mark.parametrize("realization", [0, 1, 99_999, 2 ** 64 + 5])
+@pytest.mark.parametrize("seed", [0, 1002, 2 ** 64 - 1])
+def test_substream_matches_philox_key_construction(seed, realization, tag):
+    got = sm.substream(seed, realization, tag)
+    ref = _philox_reference(seed, realization, tag)
+    draws = (
+        lambda g: g.standard_normal(64),
+        lambda g: g.integers(0, 1000, size=64),
+        lambda g: g.binomial(10, 0.3, size=64),
+        lambda g: g.poisson(2.5, size=64),
+        lambda g: g.geometric(0.4, size=64),
+    )
+    for draw in draws:
+        a, b = draw(got), draw(ref)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_substreams_read_no_os_entropy(monkeypatch):
+    def no_entropy(n):
+        raise AssertionError("OS entropy was read")
+
+    monkeypatch.setattr(random, "_urandom", no_entropy)
+    sm.substream(SEED, 3, COUNT_STREAM).standard_normal(4)
+    ens = sm.build_ensemble(GRID, 0.01, 50, SEED)
+    sm.estimate_noise_correlation(ens, sm.QuantumState.coherent(10.0), "counting", shots=8, n_boot=2)
+
+
 # --- generation ----------------------------------------------------------------
+
+
+def _per_row_reference(grid, mean_t, r_total, seed):
+    """Amplitudes from one Philox(key=seed) generator and one complex row per realization."""
+    k = grid.size
+    factor_t = _covariance_factor(sm.build_field_covariance(grid, mean_t), mean_t).T.copy()
+    xi = np.empty((r_total, k), dtype=complex)
+    for r in range(r_total):
+        raw = _philox_reference(seed, r, FIELD_STREAM).standard_normal(2 * k)
+        xi[r] = (raw[:k] + 1j * raw[k:]) * math.sqrt(0.5)
+    return xi @ factor_t
+
+
+@pytest.mark.parametrize("seed", [1002, 2011])
+@pytest.mark.parametrize("grid", [
+    np.array(MOMENT_GRID),
+    np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 25))),
+], ids=["moment", "default-curve"])
+def test_generation_matches_per_row_reference(grid, seed):
+    ens = sm.build_ensemble(grid, 0.01, 600, seed)
+    ref = _per_row_reference(grid, 0.01, 600, seed)
+    assert ens.amplitudes.tobytes() == ref.tobytes()
+
 
 
 def test_generation_deterministic_in_seed(ensemble):

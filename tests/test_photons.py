@@ -7,6 +7,7 @@ import pytest
 
 import specklemem as sm
 from specklemem.errors import DomainError, UnsupportedSamplingError
+from specklemem.photons import _checked_transmission
 
 
 def _rng(seed):
@@ -84,6 +85,39 @@ def test_variance_rejects_bad_transmission():
     for t in (-0.1, 1.1, math.nan):
         with pytest.raises(DomainError):
             sm.transmitted_variance_quantum(state, t)
+
+
+@pytest.mark.parametrize("value,expected", [
+    (0, 0.0),
+    (1, 1.0),
+    (True, 1.0),
+    (-0.0, -0.0),
+    (np.float32(0.25), 0.25),
+    (np.array(0.3), 0.3),
+    ("0.5", 0.5),
+], ids=repr)
+def test_transmission_check_accepts_real_scalars(value, expected):
+    t = _checked_transmission(value)
+    assert type(t) is float and t == expected
+    assert math.copysign(1.0, t) == math.copysign(1.0, expected)
+    thermal = sm.QuantumState.thermal(2.0)
+    assert sm.transmitted_variance_quantum(thermal, value) == 2.0 * expected + 4.0 * expected ** 2
+    assert sm.transmitted_variance_classical(3.0, value) == 9.0 * expected * expected
+    counts = sm.sample_transmitted_counts(thermal, value, 50, _rng(7))
+    np.testing.assert_array_equal(counts, sm.sample_transmitted_counts(thermal, expected, 50, _rng(7)))
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf, -0.1, 1.1, None, "abc", 0.5 + 0j, np.complex128(0.5),
+], ids=repr)
+def test_transmission_check_rejects_non_real_or_out_of_range(value):
+    state = sm.QuantumState.coherent(1.0)
+    with pytest.raises(DomainError):
+        sm.transmitted_variance_quantum(state, value)
+    with pytest.raises(DomainError):
+        sm.transmitted_variance_classical(1.0, value)
+    with pytest.raises(DomainError):
+        sm.sample_transmitted_counts(state, value, 10, _rng(0))
 
 
 def test_classical_variance():
