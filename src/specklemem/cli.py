@@ -21,8 +21,12 @@ import numpy as np
 
 from .correlations import (
     DiffusionGeometry,
+    _checked_whole,
     classical_noise_correlation,
-    noise_correlation_expansion,
+    first_order_correction,
+    intensity_decay,
+    mesoscopic_kernel,
+    noise_correlation_expansion,  # noqa: F401 -- perfbench/tracer.py wraps cli's copy
     quantum_noise_correlation,
     shot_noise_correlation,
 )
@@ -164,11 +168,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         cfg["fano"] = _float_list(cfg["fano"])
         cfg["l_over_ell"] = _float_list(cfg["l_over_ell"])
         for key in ("grid_points", "realizations", "shots"):
-            cfg[key] = int(cfg[key])
+            cfg[key] = _checked_whole(cfg[key], key)
         for key in ("grid_min", "grid_max", "mean_t", "mean_photons", "transmission"):
             cfg[key] = float(cfg[key])
         if cfg["seed"] is not None:
-            cfg["seed"] = int(cfg["seed"])
+            cfg["seed"] = _checked_whole(cfg["seed"], "seed")
     except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
     cfg["command"] = args.command
@@ -221,10 +225,10 @@ def _write_json(path, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
+def _csv_text(header: list[str], columns: list[list[float]]) -> str:
     lines = [",".join(header)]
     for row in zip(*columns):
-        lines.append(",".join(repr(float(v)) for v in row))
+        lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -238,35 +242,36 @@ def _column_tag(value: float) -> str:
 
 
 def cmd_curves(cfg: dict) -> int:
+    # Every column is a list of Python floats, written with repr.
     if cfg["figure"] == "fig1":
-        grid = _build_grid(cfg, include_zero=True)
+        xs = _build_grid(cfg, include_zero=True).tolist()
         header = ["x", "c_sn", "c_cn"]
         columns = [
-            grid,
-            np.array([shot_noise_correlation(x) for x in grid]),
-            np.array([classical_noise_correlation(x) for x in grid]),
+            xs,
+            [shot_noise_correlation(x) for x in xs],
+            [classical_noise_correlation(x) for x in xs],
         ]
     else:
-        grid = _build_grid(cfg, include_zero=False)
+        xs = _build_grid(cfg, include_zero=False).tolist()
+        # The decay and the kernel depend on x alone, so each is evaluated once per x.
+        c = np.array([intensity_decay(x) for x in xs])
+        g = np.array([mesoscopic_kernel(x) for x in xs])
         header = ["x"]
-        columns = [grid]
+        columns = [xs]
         for fano in cfg["fano"]:
             for ratio in cfg["l_over_ell"]:
                 geom = DiffusionGeometry.from_thickness_ratio(ratio)
                 # Evaluated at unit mean transmission: the correction term is
                 # linear in mean_t, so this is exactly the normalized curve.
-                values = np.array(
-                    [noise_correlation_expansion(x, fano, 1.0, geom)[1] for x in grid]
-                )
                 header.append(f"c2_f{_column_tag(fano)}_r{_column_tag(ratio)}")
-                columns.append(values)
+                columns.append(first_order_correction(c, g, fano, 1.0, geom).tolist())
 
     if (cfg["format"] or "csv") == "csv":
         _write_text(cfg["out"], _csv_text(header, columns))
     else:
         payload = {
             "figure": cfg["figure"],
-            "columns": {name: [float(v) for v in col] for name, col in zip(header, columns)},
+            "columns": dict(zip(header, columns)),
         }
         _write_json(cfg["out"], payload)
     return EXIT_OK

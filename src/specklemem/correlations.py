@@ -55,6 +55,25 @@ def _checked_mean_transmission(mean_t) -> float:
     return q
 
 
+def _checked_whole(value, name: str) -> int:
+    """value as an int; DomainError unless it is a whole number.
+
+    ints and numpy integers pass as they are, floats only when integral
+    (2.0 passes, 2.7 does not) and strings only as integer literals.
+    """
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    try:
+        if isinstance(value, str):
+            return int(value)
+        f = float(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a whole number, got {value!r}") from exc
+    if not f.is_integer():
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    return int(f)
+
+
 def _checked_fano(fano) -> float:
     f = float(fano)
     if not math.isfinite(f) or f < 0.0:
@@ -216,13 +235,22 @@ def noise_correlation_expansion(x, fano, mean_t, geometry: DiffusionGeometry):
 
     Requires x > 0 because the mesoscopic kernel diverges at zero offset.
     """
-    fano = _checked_fano(fano)
-    q = _checked_mean_transmission(mean_t)
     c = intensity_decay(x)
     g = mesoscopic_kernel(x)
+    return c, first_order_correction(c, g, fano, mean_t, geometry)
+
+
+def first_order_correction(c, g, fano, mean_t, geometry: DiffusionGeometry):
+    """The correction term of ``noise_correlation_expansion`` from c(x) and g(x).
+
+    c and g are the decay and the kernel at the same offsets, as floats or as
+    equally shaped arrays; arrays are combined elementwise in the scalar
+    operation order, so every value has the bits of the scalar call.
+    """
+    fano = _checked_fano(fano)
+    q = _checked_mean_transmission(mean_t)
     ratio = geometry.thickness_ratio
-    correction = 1.5 * ratio * ratio * g * q + 4.0 * (fano - 1.0) * c * q
-    return c, correction
+    return 1.5 * ratio * ratio * g * q + 4.0 * (fano - 1.0) * c * q
 
 
 def transmission_pair_moment(x, mean_t, geometry: DiffusionGeometry) -> float:

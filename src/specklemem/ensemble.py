@@ -31,6 +31,7 @@ from .correlations import (
     CorrelationCurve,
     _checked_mean_transmission,
     _checked_offset,
+    _checked_whole,
     intensity_decay,
 )
 from .errors import (
@@ -64,7 +65,7 @@ KS_SIGNIFICANCE = 0.01  # of the Kolmogorov-Smirnov test in rayleigh_check
 
 
 def _checked_seed(seed) -> int:
-    s = int(seed)
+    s = _checked_whole(seed, "seed")
     if not 0 <= s < 2 ** 64:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return s
@@ -131,12 +132,14 @@ def build_field_covariance(grid, mean_t) -> np.ndarray:
     grid = _checked_grid(grid)
     q = _checked_mean_transmission(mean_t)
     k = grid.size
+    xs = grid.tolist()
     cov = np.empty((k, k), dtype=complex)
-    for j in range(k):
-        for i in range(j + 1):
-            h = q * field_kernel(grid[j] - grid[i])
-            cov[j, i] = h
-            cov[i, j] = h.conjugate()
+    for j, xj in enumerate(xs):
+        # Row j below the diagonal, then its conjugate above: the diagonal
+        # keeps the conjugate's -0.0 imaginary part.
+        row = np.array([q * field_kernel(xj - xi) for xi in xs[:j + 1]])
+        cov[j, :j + 1] = row
+        cov[:j + 1, j] = row.conj()
     return cov
 
 
@@ -197,27 +200,31 @@ def generate_ensemble(
 ) -> SpeckleEnsemble:
     """Draw circular Gaussian amplitude vectors with the given covariance.
 
-    The factor is always the Cholesky factor of cov after an eigendecomposition
-    that clips eigenvalues within round-off of zero and adds a 1e-12 * mean_t
-    diagonal jitter; an eigenvalue below -1e-10 * mean_t raises
-    CovarianceModelError.  Realization r takes its 2K normals from its own
-    substream, so row r depends only on (seed, r); they fill row r of one
-    preallocated array, real parts first.
+    The grid and mean_t are checked as ``build_ensemble`` checks them, and cov
+    must be finite and Hermitian.  The factor is always the Cholesky factor of
+    cov after an eigendecomposition that clips eigenvalues within round-off of
+    zero and adds a 1e-12 * mean_t diagonal jitter; an eigenvalue below
+    -1e-10 * mean_t raises CovarianceModelError.  Realization r takes its 2K
+    normals from its own substream, so row r depends only on (seed, r); they
+    fill row r of one preallocated array, real parts first.
     """
+    grid = _checked_grid(grid)
+    mean_t = _checked_mean_transmission(mean_t)
     cov = np.asarray(cov, dtype=complex)
-    grid = np.asarray(grid, dtype=float)
     k = grid.size
     if cov.shape != (k, k):
         raise DomainError(f"covariance must be {k}x{k} to match the grid")
+    if not np.all(np.isfinite(cov)):
+        raise DomainError("covariance entries must be finite")
     scale = float(np.abs(cov).max()) or 1.0
     if np.abs(cov - cov.conj().T).max() > 1e-12 * scale:
         raise DomainError("covariance must be Hermitian")
-    r_total = int(realizations)
+    r_total = _checked_whole(realizations, "realizations")
     if r_total < 1:
         raise DomainError(f"realizations must be >= 1, got {realizations}")
     seed = _checked_seed(seed)
 
-    factor_t = _covariance_factor(cov, float(mean_t)).T.copy()
+    factor_t = _covariance_factor(cov, mean_t).T.copy()
     root_half = math.sqrt(0.5)
 
     raw = np.empty((r_total, 2 * k))
@@ -231,7 +238,7 @@ def generate_ensemble(
     xi *= root_half
 
     amplitudes = xi @ factor_t
-    return SpeckleEnsemble(amplitudes=amplitudes, grid=grid, mean_t=float(mean_t), seed=seed)
+    return SpeckleEnsemble(amplitudes=amplitudes, grid=grid, mean_t=mean_t, seed=seed)
 
 
 def build_ensemble(grid, mean_t, realizations, seed) -> SpeckleEnsemble:
@@ -312,8 +319,11 @@ def estimate_moments(ens: SpeckleEnsemble) -> MomentReport:
             f"realizations, got {r_total}"
         )
     q = ens.mean_t
-    t = ens.transmissions
-    t0 = t[:, 0]
+    # One contiguous row per grid point; the complex amplitudes are not copied.
+    t = np.ascontiguousarray(ens.transmissions.T)
+    t0 = t[0]
+    t00 = t0 * t0
+    a0_conj = np.conj(ens.amplitudes[:, 0])
     records: list[MomentRecord] = []
 
     emp, se = _mean_with_stderr(t0)
@@ -324,20 +334,19 @@ def estimate_moments(ens: SpeckleEnsemble) -> MomentReport:
             MomentRecord(f"T{n}", None, emp, se, math.factorial(n) * q ** n)
         )
 
-    offsets = ens.pair_offsets()
-    for k in range(ens.grid.size):
-        x = float(offsets[k])
+    for k, x in enumerate(ens.pair_offsets().tolist()):
         c = intensity_decay(x)
-        tk = t[:, k]
+        tk = t[k]
         emp, se = _mean_with_stderr(t0 * tk)
         records.append(MomentRecord("TT", x, emp, se, q * q * (1.0 + c)))
-        emp, se = _mean_with_stderr(t0 * t0 * tk)
+        t00_tk = t00 * tk
+        emp, se = _mean_with_stderr(t00_tk)
         records.append(MomentRecord("T2T", x, emp, se, 2.0 * q ** 3 * (1.0 + 2.0 * c)))
-        emp, se = _mean_with_stderr(t0 * t0 * tk * tk)
+        emp, se = _mean_with_stderr(t00_tk * tk)
         records.append(
             MomentRecord("T2T2", x, emp, se, 4.0 * q ** 4 * (1.0 + 4.0 * c + c * c))
         )
-        emp, se = _abs_sq_mean_jackknife(np.conj(ens.amplitudes[:, 0]) * ens.amplitudes[:, k])
+        emp, se = _abs_sq_mean_jackknife(a0_conj * ens.amplitudes[:, k])
         records.append(MomentRecord("field_corr", x, emp, se, q * q * c))
 
     return MomentReport(records=records)
@@ -389,7 +398,7 @@ def _per_realization_variances(
         raise DomainError("counting mode needs a QuantumState input")
     if state.kind == "custom":
         raise UnsupportedSamplingError("counting mode cannot sample custom states")
-    shots = int(shots) if shots is not None else 0
+    shots = _checked_whole(shots, "shots") if shots is not None else 0
     if shots < 4:
         raise DomainError(
             f"counting mode needs shots >= 4 (two halves of >= 2 shots at x = 0), got {shots}"
@@ -398,13 +407,13 @@ def _per_realization_variances(
     half = shots // 2
     v = np.empty_like(t)
     v00 = np.empty(ens.realizations)
+    counts = np.empty((t.shape[1], shots), dtype=np.int64)  # row k: the shots at x_k
     for r in range(ens.realizations):
         rng = substream(seed, r, COUNT_STREAM)
-        for k in range(t.shape[1]):
-            counts = sample_transmitted_counts(state, t[r, k], shots, rng)
-            v[r, k] = counts.var(ddof=1)
-            if k == 0:
-                v00[r] = counts[:half].var(ddof=1) * counts[half:].var(ddof=1)
+        for k, tk in enumerate(t[r].tolist()):
+            counts[k] = sample_transmitted_counts(state, tk, shots, rng)
+        v[r] = counts.var(axis=1, ddof=1)
+        v00[r] = counts[0, :half].var(ddof=1) * counts[0, half:].var(ddof=1)
     return v, v00, n_clamped
 
 
@@ -432,6 +441,7 @@ def estimate_noise_correlation(
     """
     if ens.realizations < 2:
         raise EstimationError("correlation estimation needs >= 2 realizations")
+    n_boot = _checked_whole(n_boot, "n_boot")
     if n_boot < 2:
         raise DomainError(f"bootstrap needs >= 2 resamples, got {n_boot}")
     v, v00, n_clamped = _per_realization_variances(ens, state, mode, shots, seed, noise_scale)
@@ -472,7 +482,7 @@ def estimate_noise_correlation(
         state=state,
         shots_per_realization=int(shots) if mode == "counting" else None,
         n_clamped=n_clamped,
-        n_boot=int(n_boot),
+        n_boot=n_boot,
     )
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlations import _checked_whole
 from .errors import DomainError, UnsupportedSamplingError
 
 STATE_KINDS = ("fock", "coherent", "thermal", "custom")
@@ -136,7 +137,7 @@ def sample_transmitted_counts(
     t = _checked_transmission(transmission)
     if not np.isscalar(t):
         raise DomainError("sampler transmission must be a scalar")
-    shots = int(shots)
+    shots = _checked_whole(shots, "shots")
     if shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots}")
     if state.kind == "fock":

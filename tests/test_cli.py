@@ -65,6 +65,28 @@ def test_curves_fig2_columns_and_round_trip(tmp_path):
     np.testing.assert_allclose(col["c2_f2_r4"], expected, rtol=0, atol=1e-12)
 
 
+def test_curves_fig2_matches_per_point_expansion(tmp_path):
+    # Log points from the series branch (x <= 1e-4) through the exponential tails (x > 1e4).
+    fanos, ratios = (0.0, 0.5, 1.0, 2.0, 7.5), (1.0, 3.0, 4.5)
+    xs = np.geomspace(1e-5, 2e4, 3001)
+    header, columns = ["x"], [xs.tolist()]
+    for fano in fanos:
+        for ratio in ratios:
+            geom = sm.DiffusionGeometry.from_thickness_ratio(ratio)
+            header.append(f"c2_f{fano:g}_r{ratio:g}")
+            columns.append([sm.noise_correlation_expansion(x, fano, 1.0, geom)[1] for x in xs])
+    rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    expected = "\n".join([",".join(header)] + rows) + "\n"
+
+    args = ["curves", "fig2", "--grid-min", "1e-5", "--grid-max", "2e4", "--grid-points", "3001",
+            "--fano", "0,0.5,1,2,7.5", "--l-over-ell", "1,3,4.5"]
+    csv_out, json_out = tmp_path / "fig2.csv", tmp_path / "fig2.json"
+    assert cli.main(args + ["--out", str(csv_out)]) == 0
+    assert csv_out.read_text() == expected
+    assert cli.main(args + ["--format", "json", "--out", str(json_out)]) == 0
+    assert json.loads(json_out.read_text())["columns"] == dict(zip(header, columns))
+
+
 def test_curves_fig2_independent_of_mean_t(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -351,6 +373,19 @@ def test_config_file_rejects_malformed_values(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid_points": "junk"}))
     assert cli.main(["curves", "fig1", "--config", str(cfg)]) == cli.EXIT_CONFIG
+
+
+def test_config_file_rejects_fractional_counts(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for key, value in (("grid_points", 4.5), ("realizations", 2.7), ("shots", 4.7), ("seed", 1.5)):
+        cfg.write_text(json.dumps({key: value}))
+        code = cli.main(["validate", "--config", str(cfg), "--show-config"])
+        assert code == cli.EXIT_CONFIG, key
+        assert "whole number" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"realizations": 3000.0, "seed": "12"}))
+    assert cli.main(["validate", "--config", str(cfg), "--show-config"]) == cli.EXIT_OK
+    shown = json.loads(capsys.readouterr().out)
+    assert (shown["realizations"], shown["seed"]) == (3000, 12)
 
 
 def test_config_file_cannot_smuggle_custom_state(tmp_path):

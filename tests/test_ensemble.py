@@ -8,7 +8,13 @@ import pytest
 
 import specklemem as sm
 from specklemem.cli import COUNTING_GRID, MOMENT_GRID
-from specklemem.ensemble import BOOT_STREAM, COUNT_STREAM, FIELD_STREAM, _covariance_factor
+from specklemem.ensemble import (
+    BOOT_STREAM,
+    COUNT_STREAM,
+    FIELD_STREAM,
+    _covariance_factor,
+    _per_realization_variances,
+)
 from specklemem.errors import (
     CovarianceModelError,
     DomainError,
@@ -67,12 +73,35 @@ def test_generate_rejects_indefinite_covariance():
         sm.generate_ensemble(cov, np.array([0.0, 1.0]), 1.0, 10, SEED)
 
 
-@pytest.mark.parametrize("grid", [
+FACTOR_GRIDS = pytest.mark.parametrize("grid", [
     np.array(MOMENT_GRID),
     np.array(COUNTING_GRID),
     np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 25))),
     np.linspace(0.0, 100.0, 400),
 ], ids=["moment", "counting", "default-curve", "linear-400"])
+
+
+def _per_pair_covariance(grid, q):
+    """The covariance filled one (j, i) pair at a time, conjugate written second."""
+    k = grid.size
+    cov = np.empty((k, k), dtype=complex)
+    for j in range(k):
+        for i in range(j + 1):
+            h = q * sm.field_kernel(grid[j] - grid[i])
+            cov[j, i] = h
+            cov[i, j] = h.conjugate()
+    return cov
+
+
+@FACTOR_GRIDS
+def test_covariance_matches_per_pair_loop(grid):
+    cov = sm.build_field_covariance(grid, 0.01)
+    # tobytes also tells the diagonal's -0.0 imaginary parts from +0.0.
+    assert cov.tobytes() == _per_pair_covariance(grid, 0.01).tobytes()
+    assert np.all(np.signbit(np.diag(cov).imag))
+
+
+@FACTOR_GRIDS
 def test_covariance_factor_reproduces_covariance(grid):
     # Clipping and the 1e-12 * mean_t jitter are the only departures from cov.
     q = 0.01
@@ -144,6 +173,63 @@ def test_generation_matches_per_row_reference(grid, seed):
 
 
 
+def test_generate_checks_its_own_inputs():
+    cov = sm.build_field_covariance(GRID, 0.01)
+    nan_cov = cov.copy()
+    nan_cov[1, 2] = nan_cov[2, 1] = complex(math.nan, 0.0)
+    inf_cov = cov.copy()
+    inf_cov[0, 0] = math.inf
+    cases = {
+        "NaN mean_t": (cov, GRID, math.nan),
+        "zero mean_t": (cov, GRID, 0.0),
+        "negative mean_t": (cov, GRID, -1.0),
+        "mean_t above 1": (cov, GRID, 2.0),
+        "decreasing grid": (cov, GRID[::-1].copy(), 0.01),
+        "NaN covariance": (nan_cov, GRID, 0.01),
+        "infinite covariance": (inf_cov, GRID, 0.01),
+    }
+    for name, (c, grid, mean_t) in cases.items():
+        with pytest.raises(DomainError):
+            sm.generate_ensemble(c, grid, mean_t, 10, SEED)
+            pytest.fail(f"{name} was accepted")
+
+
+def test_whole_number_arguments_are_checked():
+    ens = sm.build_ensemble(GRID, 0.01, 50, SEED)
+    coherent = sm.QuantumState.coherent(10.0)
+    cov = sm.build_field_covariance(GRID, 0.01)
+    cases = {
+        "realizations": lambda: sm.generate_ensemble(cov, GRID, 0.01, 2.7, SEED),
+        "n_boot": lambda: sm.estimate_noise_correlation(ens, sm.CLASSICAL, n_boot=2.5),
+        "counting shots": lambda: sm.estimate_noise_correlation(
+            ens, coherent, mode="counting", shots=4.7, n_boot=2),
+        "sampler shots": lambda: sm.sample_transmitted_counts(
+            coherent, 0.5, 4.7, sm.substream(SEED, 0)),
+        "substream seed": lambda: sm.substream(1.5, 0),
+        "non-numeric seed": lambda: sm.substream("abc", 0),
+    }
+    for name, call in cases.items():
+        with pytest.raises(DomainError, match="whole number"):
+            call()
+            pytest.fail(f"{name} was truncated")
+
+
+@pytest.mark.parametrize("whole", [lambda n: n, np.int64, np.uint32, float], ids=[
+    "int", "int64", "uint32", "integral-float"])
+def test_whole_number_arguments_keep_working(whole):
+    ens = sm.generate_ensemble(sm.build_field_covariance(GRID, 0.01), GRID, 0.01, whole(50), SEED)
+    assert ens.amplitudes.tobytes() == sm.build_ensemble(GRID, 0.01, 50, SEED).amplitudes.tobytes()
+    coherent = sm.QuantumState.coherent(10.0)
+    est = sm.estimate_noise_correlation(
+        ens, coherent, mode="counting", shots=whole(8), seed=whole(SEED), n_boot=whole(2))
+    ref = sm.estimate_noise_correlation(ens, coherent, mode="counting", shots=8, seed=SEED, n_boot=2)
+    assert est.curve.values.tobytes() == ref.curve.values.tobytes()
+    assert (est.shots_per_realization, est.n_boot) == (8, 2)
+    counts = sm.sample_transmitted_counts(coherent, 0.5, whole(6), sm.substream(whole(SEED), 0))
+    assert counts.tobytes() == sm.sample_transmitted_counts(
+        coherent, 0.5, 6, sm.substream(SEED, 0)).tobytes()
+
+
 def test_generation_deterministic_in_seed(ensemble):
     again = sm.build_ensemble(GRID, 0.01, 20_000, SEED)
     np.testing.assert_array_equal(ensemble.amplitudes, again.amplitudes)
@@ -199,6 +285,44 @@ def test_moment_report_theory_values(ensemble):
     tt = {r.offset: r.theory for r in report.by_name("TT")}
     assert tt[0.0] == pytest.approx(2.0 * q * q, rel=1e-14)
     assert tt[16.0] == pytest.approx(q * q * (1.0 + sm.intensity_decay(16.0)), rel=1e-14)
+
+
+def _strided_column_moments(ens):
+    """Moment records read column by column from the R x K arrays."""
+    q = ens.mean_t
+    t = ens.transmissions
+    t0 = t[:, 0]
+    records = [("T_mean", None, *sm.ensemble._mean_with_stderr(t0), q)]
+    for n in (2, 3, 4):
+        records.append((f"T{n}", None, *sm.ensemble._mean_with_stderr(t0 ** n),
+                        math.factorial(n) * q ** n))
+    offsets = ens.pair_offsets()
+    for k in range(ens.grid.size):
+        x = float(offsets[k])
+        c = sm.intensity_decay(x)
+        tk = t[:, k]
+        records.append(("TT", x, *sm.ensemble._mean_with_stderr(t0 * tk), q * q * (1.0 + c)))
+        records.append(("T2T", x, *sm.ensemble._mean_with_stderr(t0 * t0 * tk),
+                        2.0 * q ** 3 * (1.0 + 2.0 * c)))
+        records.append(("T2T2", x, *sm.ensemble._mean_with_stderr(t0 * t0 * tk * tk),
+                        4.0 * q ** 4 * (1.0 + 4.0 * c + c * c)))
+        field = np.conj(ens.amplitudes[:, 0]) * ens.amplitudes[:, k]
+        records.append(("field_corr", x, *sm.ensemble._abs_sq_mean_jackknife(field), q * q * c))
+    return records
+
+
+@pytest.mark.parametrize("r_total", [500, 3001])
+@pytest.mark.parametrize("grid", [
+    np.array(MOMENT_GRID),
+    np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 25))),
+], ids=["moment", "default-curve"])
+def test_moments_match_strided_column_loop(grid, r_total):
+    ens = sm.build_ensemble(grid, 0.01, r_total, SEED)
+    got = [(r.name, r.offset, r.empirical, r.stderr, r.theory)
+           for r in sm.estimate_moments(ens).records]
+    ref = _strided_column_moments(ens)
+    # Equal floats compare equal whatever their last bit; repr tells them apart.
+    assert repr(got) == repr(ref)
 
 
 def test_moment_estimation_needs_enough_realizations():
@@ -274,6 +398,34 @@ def test_counting_mode_rejects_custom_and_bad_shots(ensemble):
             sm.estimate_noise_correlation(
                 ensemble, sm.QuantumState.coherent(1.0), mode="counting", shots=shots
             )
+
+
+def _per_cell_variances(ens, state, shots, seed):
+    """Counting-mode proxies from one sampler call and one variance per cell."""
+    t = np.minimum(ens.transmissions, 1.0)
+    half = shots // 2
+    v = np.empty_like(t)
+    v00 = np.empty(ens.realizations)
+    for r in range(ens.realizations):
+        rng = sm.substream(seed, r, COUNT_STREAM)
+        for k in range(t.shape[1]):
+            counts = sm.sample_transmitted_counts(state, t[r, k], shots, rng)
+            v[r, k] = counts.var(ddof=1)
+            if k == 0:
+                v00[r] = counts[:half].var(ddof=1) * counts[half:].var(ddof=1)
+    return v, v00
+
+
+@pytest.mark.parametrize("shots", [40, 41, 1000, 1001])
+@pytest.mark.parametrize("state", [
+    sm.QuantumState.fock(10), sm.QuantumState.coherent(10.0), sm.QuantumState.thermal(1.0),
+], ids=["fock", "coherent", "thermal"])
+def test_counting_variances_match_per_cell_loop(state, shots):
+    ens = sm.build_ensemble(np.array(COUNTING_GRID), 0.01, 60, SEED)
+    v, v00, _ = _per_realization_variances(ens, state, "counting", shots, SEED, 1.0)
+    ref_v, ref_v00 = _per_cell_variances(ens, state, shots, SEED)
+    assert v.tobytes() == ref_v.tobytes()
+    assert v00.tobytes() == ref_v00.tobytes()
 
 
 def _resample_loop_reference(v, seed, n_boot):
