@@ -319,11 +319,9 @@ def estimate_moments(ens: SpeckleEnsemble) -> MomentReport:
             f"realizations, got {r_total}"
         )
     q = ens.mean_t
-    # One contiguous row per grid point; the complex amplitudes are not copied.
-    t = np.ascontiguousarray(ens.transmissions.T)
-    t0 = t[0]
+    t = ens.transmissions
+    t0 = t[:, 0]
     t00 = t0 * t0
-    a0_conj = np.conj(ens.amplitudes[:, 0])
     records: list[MomentRecord] = []
 
     emp, se = _mean_with_stderr(t0)
@@ -336,7 +334,9 @@ def estimate_moments(ens: SpeckleEnsemble) -> MomentReport:
 
     for k, x in enumerate(ens.pair_offsets().tolist()):
         c = intensity_decay(x)
-        tk = t[k]
+        # One strided read of column k; the products below read the copy.  A
+        # transposed copy of all of t would add R x K floats to the peak.
+        tk = t[:, k].copy()
         emp, se = _mean_with_stderr(t0 * tk)
         records.append(MomentRecord("TT", x, emp, se, q * q * (1.0 + c)))
         t00_tk = t00 * tk
@@ -346,7 +346,7 @@ def estimate_moments(ens: SpeckleEnsemble) -> MomentReport:
         records.append(
             MomentRecord("T2T2", x, emp, se, 4.0 * q ** 4 * (1.0 + 4.0 * c + c * c))
         )
-        emp, se = _abs_sq_mean_jackknife(a0_conj * ens.amplitudes[:, k])
+        emp, se = _abs_sq_mean_jackknife(np.conj(ens.amplitudes[:, 0]) * ens.amplitudes[:, k])
         records.append(MomentRecord("field_corr", x, emp, se, q * q * c))
 
     return MomentReport(records=records)
