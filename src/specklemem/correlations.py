@@ -273,7 +273,6 @@ class CorrelationCurve:
     offsets: np.ndarray
     values: np.ndarray
     stderr: np.ndarray | None = None
-    label: str = ""
 
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=float)

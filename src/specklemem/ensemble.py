@@ -54,6 +54,7 @@ CLASSICAL = "classical"
 FIELD_STREAM = 0
 COUNT_STREAM = 1
 BOOT_STREAM = 2
+_REALIZATION_END, _TAG_END = 2 ** 128, 2 ** 64
 
 # Bootstrap resamples whose counts share one matrix product: at R = 1e5 each
 # of the block's index, count and weight arrays takes 6.4 MB.
@@ -64,11 +65,15 @@ _MIN_RAYLEIGH_REALIZATIONS = 1000
 KS_SIGNIFICANCE = 0.01  # of the Kolmogorov-Smirnov test in rayleigh_check
 
 
+def _checked_unsigned(value, name: str, bits: int) -> int:
+    v = _checked_whole(value, name)
+    if not 0 <= v < 1 << bits:
+        raise DomainError(f"{name} must be a {bits}-bit unsigned integer, got {value}")
+    return v
+
+
 def _checked_seed(seed) -> int:
-    s = _checked_whole(seed, "seed")
-    if not 0 <= s < 2 ** 64:
-        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return s
+    return _checked_unsigned(seed, "seed", 64)
 
 
 def _checked_grid(grid) -> np.ndarray:
@@ -104,9 +109,16 @@ def substream(seed, realization: int, tag: int = FIELD_STREAM) -> np.random.Gene
     """Counter-based generator, independent for every (seed, realization, tag).
 
     The stream is that of ``Philox(key=seed, counter=(realization << 128) |
-    (tag << 64))``, built without drawing OS entropy.
+    (tag << 64))``, built without drawing OS entropy.  The seed and tag must
+    be whole numbers in [0, 2**64) and the realization one in [0, 2**128);
+    anything else raises DomainError.
     """
-    counter = (int(realization) << 128) | (int(tag) << 64)
+    # Plain ints in range skip the checks: generation calls this once per row.
+    if not (type(realization) is int and type(tag) is int
+            and 0 <= realization < _REALIZATION_END and 0 <= tag < _TAG_END):
+        realization = _checked_unsigned(realization, "realization", 128)
+        tag = _checked_unsigned(tag, "tag", 64)
+    counter = (realization << 128) | (tag << 64)
     return np.random.Generator(np.random.Philox(_PhiloxKey(_checked_seed(seed)), counter=counter))
 
 
@@ -265,16 +277,6 @@ class MomentRecord:
     def z(self) -> float:
         return (self.empirical - self.theory) / self.stderr
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "x": self.offset,
-            "empirical": self.empirical,
-            "stderr": self.stderr,
-            "theory": self.theory,
-            "z": self.z,
-        }
-
 
 @dataclass
 class MomentReport:
@@ -294,23 +296,14 @@ def _mean_with_stderr(samples: np.ndarray) -> tuple[float, float]:
     return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n))
 
 
-def _abs_sq_mean_jackknife(samples: np.ndarray) -> tuple[float, float]:
-    """|mean(samples)|^2 with a leave-one-out jackknife standard error."""
-    n = samples.size
-    total = samples.sum()
-    estimate = abs(total / n) ** 2
-    loo = np.abs((total - samples) / (n - 1)) ** 2
-    stderr = math.sqrt((n - 1) * float(np.var(loo)))
-    return float(estimate), stderr
-
-
 def estimate_moments(ens: SpeckleEnsemble) -> MomentReport:
     """Empirical transmission moments against circular-Gaussian predictions.
 
     Single-frequency moments <T^n> (reference column, theory n! mean_t^n),
     pair moments <T T'>, <T^2 T'>, <T^2 T'^2> and the field moment
-    |<t* t'>|^2 for every grid pair (0, k).  Standard errors are jackknife
-    estimates (which for plain means reduce to std / sqrt(R)).
+    |<t* t'>|^2 for every grid pair (0, k).  Each standard error is
+    std(psi, ddof=1) / sqrt(R) of an influence term psi: the sample for the
+    means, 2 Re(conj(m) conj(t0) tk) for |m|^2 with m = mean(conj(t0) tk).
     """
     r_total = ens.realizations
     if r_total < _MIN_MOMENT_REALIZATIONS:
@@ -346,22 +339,20 @@ def estimate_moments(ens: SpeckleEnsemble) -> MomentReport:
         records.append(
             MomentRecord("T2T2", x, emp, se, 4.0 * q ** 4 * (1.0 + 4.0 * c + c * c))
         )
-        emp, se = _abs_sq_mean_jackknife(np.conj(ens.amplitudes[:, 0]) * ens.amplitudes[:, k])
-        records.append(MomentRecord("field_corr", x, emp, se, q * q * c))
+        field = np.conj(ens.amplitudes[:, 0]) * ens.amplitudes[:, k]
+        m = field.sum() / r_total
+        _, se = _mean_with_stderr(2.0 * (np.conj(m) * field).real)
+        records.append(MomentRecord("field_corr", x, float(abs(m) ** 2), se, q * q * c))
 
     return MomentReport(records=records)
 
 
 @dataclass
 class NoiseCorrelationEstimate:
-    """Monte Carlo estimate of a noise correlation curve."""
+    """Monte Carlo noise correlation curve and the count of transmissions clamped to 1."""
 
     curve: CorrelationCurve
-    mode: str
-    state: QuantumState | str
-    shots_per_realization: int | None
     n_clamped: int
-    n_boot: int
 
 
 def _per_realization_variances(
@@ -403,7 +394,6 @@ def _per_realization_variances(
         raise DomainError(
             f"counting mode needs shots >= 4 (two halves of >= 2 shots at x = 0), got {shots}"
         )
-    seed = _checked_seed(ens.seed if seed is None else seed)
     half = shots // 2
     v = np.empty_like(t)
     v00 = np.empty(ens.realizations)
@@ -435,15 +425,17 @@ def estimate_noise_correlation(
     where counting mode estimates v_0^2 at x_0 from disjoint halves of the
     shots (so it needs shots >= 4).  Standard errors come from ``n_boot``
     bootstrap resamples of the realizations, drawn from the BOOT_STREAM
-    substream; each block of resamples is a matrix of resample counts whose
-    means are one matrix product.  Transmission values above 1 (possible
-    Gaussian tails near mean_t = 1) are clamped and counted in ``n_clamped``.
+    substream of ``seed`` (``ens.seed`` when None); each block of resamples is
+    a matrix of resample counts whose means are one matrix product.
+    Transmission values above 1 (possible Gaussian tails near mean_t = 1) are
+    clamped and counted in ``n_clamped``.
     """
     if ens.realizations < 2:
         raise EstimationError("correlation estimation needs >= 2 realizations")
     n_boot = _checked_whole(n_boot, "n_boot")
     if n_boot < 2:
         raise DomainError(f"bootstrap needs >= 2 resamples, got {n_boot}")
+    seed = _checked_seed(ens.seed if seed is None else seed)
     v, v00, n_clamped = _per_realization_variances(ens, state, mode, shots, seed, noise_scale)
 
     means_v = v.mean(axis=0)
@@ -453,8 +445,7 @@ def estimate_noise_correlation(
     prod[:, 0] = v00
     values = prod.mean(axis=0) / (means_v[0] * means_v) - 1.0
 
-    boot_seed = _checked_seed(ens.seed if seed is None else seed)
-    brng = substream(boot_seed, 0, BOOT_STREAM)
+    brng = substream(seed, 0, BOOT_STREAM)
     r_total = ens.realizations
     boot = np.empty((n_boot, v.shape[1]))
     for start in range(0, n_boot, _BOOT_BLOCK):
@@ -469,21 +460,8 @@ def estimate_noise_correlation(
         boot[start:start + n] = (weights @ prod / r_total) / (mv[:, :1] * mv) - 1.0
     stderr = boot.std(axis=0, ddof=1)
 
-    if state == CLASSICAL:
-        label = "classical noise (MC)"
-    else:
-        label = f"{state.kind} fano={state.fano:g} (MC, {mode})"
-    curve = CorrelationCurve(
-        offsets=ens.pair_offsets(), values=values, stderr=stderr, label=label
-    )
-    return NoiseCorrelationEstimate(
-        curve=curve,
-        mode=mode,
-        state=state,
-        shots_per_realization=int(shots) if mode == "counting" else None,
-        n_clamped=n_clamped,
-        n_boot=n_boot,
-    )
+    curve = CorrelationCurve(offsets=ens.pair_offsets(), values=values, stderr=stderr)
+    return NoiseCorrelationEstimate(curve=curve, n_clamped=n_clamped)
 
 
 @dataclass(frozen=True)
@@ -492,16 +470,7 @@ class RayleighCheck:
 
     statistic: float
     pvalue: float
-    significance: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "pvalue": self.pvalue,
-            "significance": self.significance,
-            "passed": self.passed,
-        }
 
 
 def rayleigh_check(ens: SpeckleEnsemble) -> RayleighCheck:
@@ -519,7 +488,6 @@ def rayleigh_check(ens: SpeckleEnsemble) -> RayleighCheck:
     return RayleighCheck(
         statistic=float(result.statistic),
         pvalue=float(result.pvalue),
-        significance=KS_SIGNIFICANCE,
         passed=bool(result.pvalue > KS_SIGNIFICANCE),
     )
 
@@ -545,8 +513,8 @@ def load_ensemble_csv(path) -> SpeckleEnsemble:
 
     Rows must follow the header directly and run through (realization,
     grid_index) = (0, 0), (0, 1), ..., (R-1, K-1) in order; a missing,
-    repeated or out-of-range row raises DomainError, and so does metadata
-    that ``build_ensemble`` would reject.
+    repeated or out-of-range row raises DomainError, and so do a non-finite
+    amplitude and metadata that ``build_ensemble`` would reject.
     """
     meta: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -581,6 +549,10 @@ def load_ensemble_csv(path) -> SpeckleEnsemble:
             "ensemble rows must be realization,grid_index,re,im for indices "
             f"(0, 0), (0, 1), ... (R-1, {k - 1}) in order; got {rows.shape[0]} rows"
         )
+    finite = np.isfinite(rows[:, 2:]).all(axis=1)
+    if not finite.all():
+        raise DomainError("ensemble row {},{} has a non-finite amplitude".format(
+            *index[np.argmin(finite)]))
     amplitudes = np.empty((r_total, k), dtype=complex)
     amplitudes.real = rows[:, 2].reshape(r_total, k)
     amplitudes.imag = rows[:, 3].reshape(r_total, k)

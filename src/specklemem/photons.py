@@ -74,6 +74,11 @@ class QuantumState:
 
 _REAL_SCALARS = (int, float, np.integer, np.floating)
 
+# Largest parameter of each count law; sample_transmitted_counts derives them.
+_C_LONG_MAX = np.iinfo("l").max
+_POISSON_MEAN_MAX = float(_C_LONG_MAX - np.sqrt(_C_LONG_MAX) * 10)
+_BOSE_EINSTEIN_MEAN_MAX = 2.0 ** 57
+
 
 def _checked_transmission(transmission):
     """Validate an intensity transmission coefficient (scalar or array) in [0, 1].
@@ -125,6 +130,12 @@ def transmitted_variance_classical(mean_photons, transmission, noise_scale=1.0):
     return scale * n * n * t * t
 
 
+def _bounded(value, bound, what: str):
+    if value > bound:
+        raise DomainError(f"{what} {value!r} exceeds {bound!r}: counts would overflow int64")
+    return value
+
+
 def sample_transmitted_counts(
     state: QuantumState, transmission, shots: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -133,6 +144,13 @@ def sample_transmitted_counts(
     fock(n) -> binomial(n, T); coherent(nbar) -> Poisson(nbar T);
     thermal(nbar) -> Bose-Einstein (geometric on {0, 1, ...}) with mean
     nbar T.  Custom states have no canonical count law and are rejected.
+
+    Counts are int64, so each law has a bound beyond which DomainError is
+    raised.  numpy takes the binomial n as a C long: n <= 2**63 - 1.  Its
+    Poisson sampler takes means up to 2**63 - 1 - 10 sqrt(2**63 - 1), about
+    9.22e18, ten standard deviations inside int64.  A Bose-Einstein count with
+    mean mu reaches 2**63 - 1 with probability (mu / (1 + mu))**(2**63 - 1)
+    <= exp(-(2**63 - 1) / (1 + mu)); mu <= 2**57 keeps that below e^-64.
     """
     t = _checked_transmission(transmission)
     if not np.isscalar(t):
@@ -141,11 +159,13 @@ def sample_transmitted_counts(
     if shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots}")
     if state.kind == "fock":
-        return rng.binomial(int(state.mean_photons), t, size=shots)
+        n = _bounded(int(state.mean_photons), _C_LONG_MAX, "binomial photon number")
+        return rng.binomial(n, t, size=shots)
     if state.kind == "coherent":
-        return rng.poisson(state.mean_photons * t, size=shots)
+        lam = _bounded(state.mean_photons * t, _POISSON_MEAN_MAX, "Poisson mean")
+        return rng.poisson(lam, size=shots)
     if state.kind == "thermal":
-        mu = state.mean_photons * t
+        mu = _bounded(state.mean_photons * t, _BOSE_EINSTEIN_MEAN_MAX, "Bose-Einstein mean")
         return rng.geometric(1.0 / (1.0 + mu), size=shots) - 1
     raise UnsupportedSamplingError(
         f"no exact count law for state kind {state.kind!r}"

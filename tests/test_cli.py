@@ -233,6 +233,32 @@ def test_validate_report_has_z_scores(tmp_path):
     assert report["passed"] == all(c["passed"] for c in report["checks"])
 
 
+def _moment_record_dict(r):
+    """MomentRecord.to_dict as the estimate types once carried it."""
+    return {"name": r.name, "x": r.offset, "empirical": r.empirical, "stderr": r.stderr,
+            "theory": r.theory, "z": r.z}
+
+
+def _rayleigh_dict(check, significance):
+    """RayleighCheck.to_dict as the estimate types once carried it."""
+    return {"statistic": check.statistic, "pvalue": check.pvalue,
+            "significance": significance, "passed": check.passed}
+
+
+def test_report_payloads_match_former_serializers(tmp_path):
+    out = tmp_path / "rep.json"
+    assert cli.main(_FAST_VALIDATE + ["--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    ens = sm.build_ensemble(np.array(cli.MOMENT_GRID), 0.01, 2000, 777)
+    moments = sm.estimate_moments(ens)
+    assert checks["moment_suite"]["records"] == [_moment_record_dict(r) for r in moments.records]
+    control = [_moment_record_dict(r) for r in moments.by_name("TT")]
+    assert checks["gaussian_negative_control"]["records"] == control
+    rayleigh = _rayleigh_dict(sm.rayleigh_check(ens), sm.ensemble.KS_SIGNIFICANCE)
+    assert checks["rayleigh_ks"] == {"name": "rayleigh_ks", **rayleigh}
+    assert checks["counting_mode_consistency"]["shots"] == 200
+
+
 def test_validate_needs_seed():
     assert cli.main(["validate"]) == cli.EXIT_CONFIG
 
@@ -322,6 +348,16 @@ def test_sample_stats_json(tmp_path):
     assert max(payload["counts"]) <= 4
 
 
+@pytest.mark.parametrize("state,mean_photons", [
+    ("fock", "1e20"), ("coherent", "1e30"), ("thermal", "1e300"),
+])
+def test_sample_stats_rejects_counts_beyond_int64(state, mean_photons, capsys):
+    argv = ["sample-stats", "--shots", "10", "--seed", "1", "--state", state,
+            "--mean-photons", mean_photons]
+    assert cli.main(argv) == cli.EXIT_DOMAIN
+    assert "overflow int64" in capsys.readouterr().err
+
+
 def test_sample_stats_needs_seed():
     assert cli.main(["sample-stats", "--state", "coherent"]) == cli.EXIT_CONFIG
 
@@ -371,8 +407,18 @@ def test_config_file_coerces_numeric_types(tmp_path):
 
 def test_config_file_rejects_malformed_values(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grid_points": "junk"}))
-    assert cli.main(["curves", "fig1", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    cases = {
+        "non-numeric count": json.dumps({"grid_points": "junk"}),
+        "non-numeric Fano list": json.dumps({"fano": "0,abc"}),
+        "invalid JSON": '{"grid_points": 4',
+    }
+    for name, text in cases.items():
+        cfg.write_text(text)
+        assert cli.main(["curves", "fig1", "--config", str(cfg)]) == cli.EXIT_CONFIG, name
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["curves", "fig1", "--config", missing]) == cli.EXIT_CONFIG
+    with pytest.raises(SystemExit):  # argparse reports a bad flag value itself
+        cli.main(["curves", "fig2", "--fano", "0,abc"])
 
 
 def test_config_file_rejects_fractional_counts(tmp_path, capsys):
@@ -396,8 +442,17 @@ def test_config_file_cannot_smuggle_custom_state(tmp_path):
 
 
 def test_bad_grid_is_config_error():
-    assert cli.main(["curves", "fig1", "--grid-min", "5", "--grid-max", "1"]) == cli.EXIT_CONFIG
-    assert cli.main(["curves", "fig1", "--grid-points", "1"]) == cli.EXIT_CONFIG
+    cases = {
+        "grid-min above grid-max": ["--grid-min", "5", "--grid-max", "1"],
+        "one grid point": ["--grid-points", "1"],
+        "log grid from zero": ["--grid-min", "0", "--grid-scale", "log"],
+        "negative Fano factor": ["--fano=0,-1"],
+        # linspace(1, 1 + 2**-52, 3) repeats 1.0.
+        "repeated offsets": ["--grid-scale", "lin", "--grid-min", "1",
+                             "--grid-max", "1.0000000000000002", "--grid-points", "3"],
+    }
+    for name, flags in cases.items():
+        assert cli.main(["curves", "fig1", *flags]) == cli.EXIT_CONFIG, name
 
 
 def test_console_script_entry_point(tmp_path):

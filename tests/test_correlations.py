@@ -373,6 +373,18 @@ def test_curve_validates_monotonic_offsets():
         sm.CorrelationCurve(offsets=[0.0, 1.0, 1.0], values=[1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"offsets": [0.0, 1.0], "values": [1.0]},
+    {"offsets": [[0.0, 1.0]], "values": [[1.0, 2.0]]},
+    {"offsets": [0.0, math.inf], "values": [1.0, 2.0]},
+    {"offsets": [math.nan, 1.0], "values": [1.0, 2.0]},
+    {"offsets": [0.0, 1.0], "values": [1.0, 2.0], "stderr": [0.1]},
+], ids=["values shorter", "2-d", "infinite offset", "NaN offset", "stderr shorter"])
+def test_curve_rejects_malformed_arrays(kwargs):
+    with pytest.raises(DomainError):
+        sm.CorrelationCurve(**kwargs)
+
+
 def test_curve_validates_stderr():
     with pytest.raises(DomainError):
         sm.CorrelationCurve(offsets=[0.0, 1.0], values=[1.0, 2.0], stderr=[0.1, -0.1])

@@ -127,6 +127,9 @@ def test_classical_variance():
     assert sm.transmitted_variance_classical(7.0, 0.4, noise_scale=2.0) == 2.0 * one
     with pytest.raises(DomainError):
         sm.transmitted_variance_classical(7.0, 0.4, noise_scale=0.0)
+    for mean_photons in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="mean_photons"):
+            sm.transmitted_variance_classical(mean_photons, 0.4)
 
 
 # --- count samplers -----------------------------------------------------------
@@ -180,6 +183,38 @@ def test_sampler_rejects_custom_state():
 def test_sampler_rejects_bad_shots():
     with pytest.raises(DomainError):
         sm.sample_transmitted_counts(sm.QuantumState.coherent(1.0), 0.5, 0, _rng(0))
+
+
+def test_sampler_rejects_array_transmission():
+    with pytest.raises(DomainError, match="scalar"):
+        sm.sample_transmitted_counts(sm.QuantumState.coherent(1.0), np.array([0.1, 0.5]), 10, _rng(0))
+
+
+C_LONG_MAX = 2 ** 63 - 1
+# numpy's own Poisson limit, computed as numpy computes it.
+POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
+
+@pytest.mark.parametrize("state,transmission,inside", [
+    (sm.QuantumState.fock(2 ** 63 - 1024), 0.5, True),  # the largest float n <= 2**63 - 1
+    (sm.QuantumState.fock(2 ** 63), 0.5, False),
+    (sm.QuantumState.coherent(POISSON_MEAN_MAX), 1.0, True),
+    (sm.QuantumState.coherent(np.nextafter(POISSON_MEAN_MAX, math.inf)), 1.0, False),
+    (sm.QuantumState.coherent(1e30), 1e-12, True),  # the bound is on the mean nbar T
+    (sm.QuantumState.thermal(2.0 ** 57), 1.0, True),
+    (sm.QuantumState.thermal(np.nextafter(2.0 ** 57, math.inf)), 1.0, False),
+], ids=["fock inside", "fock outside", "coherent inside", "coherent outside",
+        "coherent small T", "thermal inside", "thermal outside"])
+def test_sampler_stays_inside_its_count_laws(state, transmission, inside):
+    if not inside:
+        with pytest.raises(DomainError, match="overflow int64"):
+            sm.sample_transmitted_counts(state, transmission, 200, _rng(3))
+        return
+    counts = sm.sample_transmitted_counts(state, transmission, 200, _rng(3))
+    assert counts.dtype == np.int64 and counts.min() >= 0 and counts.max() < C_LONG_MAX
+    mean = state.mean_photons * transmission
+    sd = math.sqrt(sm.transmitted_variance_quantum(state, transmission))
+    assert abs(counts.mean() - mean) <= 5.0 * sd / math.sqrt(counts.size)
 
 
 def test_sampler_deterministic_per_stream():
