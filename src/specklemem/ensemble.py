@@ -54,7 +54,6 @@ CLASSICAL = "classical"
 FIELD_STREAM = 0
 COUNT_STREAM = 1
 BOOT_STREAM = 2
-_REALIZATION_END, _TAG_END = 2 ** 128, 2 ** 64
 
 # Bootstrap resamples whose counts share one matrix product: at R = 1e5 each
 # of the block's index, count and weight arrays takes 6.4 MB.
@@ -113,12 +112,8 @@ def substream(seed, realization: int, tag: int = FIELD_STREAM) -> np.random.Gene
     be whole numbers in [0, 2**64) and the realization one in [0, 2**128);
     anything else raises DomainError.
     """
-    # Plain ints in range skip the checks: generation calls this once per row.
-    if not (type(realization) is int and type(tag) is int
-            and 0 <= realization < _REALIZATION_END and 0 <= tag < _TAG_END):
-        realization = _checked_unsigned(realization, "realization", 128)
-        tag = _checked_unsigned(tag, "tag", 64)
-    counter = (realization << 128) | (tag << 64)
+    counter = (_checked_unsigned(realization, "realization", 128) << 128) | (
+        _checked_unsigned(tag, "tag", 64) << 64)
     return np.random.Generator(np.random.Philox(_PhiloxKey(_checked_seed(seed)), counter=counter))
 
 
@@ -188,6 +183,10 @@ class SpeckleEnsemble:
         self.grid = np.asarray(self.grid, dtype=float)
         if self.amplitudes.ndim != 2 or self.amplitudes.shape[1] != self.grid.size:
             raise DomainError("amplitudes must be (realizations, grid points)")
+        finite = np.isfinite(self.amplitudes)
+        if not finite.all():
+            r, k = np.unravel_index(np.argmin(finite), finite.shape)
+            raise DomainError(f"amplitude at realization {r}, grid index {k} is not finite")
 
     @property
     def realizations(self) -> int:
@@ -549,10 +548,6 @@ def load_ensemble_csv(path) -> SpeckleEnsemble:
             "ensemble rows must be realization,grid_index,re,im for indices "
             f"(0, 0), (0, 1), ... (R-1, {k - 1}) in order; got {rows.shape[0]} rows"
         )
-    finite = np.isfinite(rows[:, 2:]).all(axis=1)
-    if not finite.all():
-        raise DomainError("ensemble row {},{} has a non-finite amplitude".format(
-            *index[np.argmin(finite)]))
     amplitudes = np.empty((r_total, k), dtype=complex)
     amplitudes.real = rows[:, 2].reshape(r_total, k)
     amplitudes.imag = rows[:, 3].reshape(r_total, k)

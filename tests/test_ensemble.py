@@ -224,9 +224,19 @@ def test_generate_checks_its_own_inputs():
             pytest.fail(f"{name} was accepted")
 
 
-def test_ensemble_rejects_mismatched_amplitudes():
-    for amplitudes in (np.zeros(5, dtype=complex), np.zeros((4, 3), dtype=complex)):
-        with pytest.raises(DomainError, match="realizations, grid points"):
+def test_ensemble_rejects_malformed_amplitudes():
+    good = np.zeros((4, GRID.size), dtype=complex)
+    infinite, nan = good.copy(), good.copy()
+    infinite[2, 1] = complex(math.inf, 0.1)
+    nan[1, 3] = complex(0.1, math.nan)
+    cases = [
+        (np.zeros(5, dtype=complex), "realizations, grid points"),
+        (np.zeros((4, 3), dtype=complex), "realizations, grid points"),
+        (infinite, "realization 2, grid index 1 is not finite"),
+        (nan, "realization 1, grid index 3 is not finite"),
+    ]
+    for amplitudes, message in cases:
+        with pytest.raises(DomainError, match=message):
             sm.SpeckleEnsemble(amplitudes=amplitudes, grid=GRID, mean_t=0.01, seed=SEED)
 
 
@@ -629,7 +639,8 @@ def test_load_rejects_malformed_index_rows(tmp_path):
         "infinite amplitude": lines[:row] + [with_values("inf", 0.1)] + lines[row + 1 :],
         "NaN amplitude": lines[:row] + [with_values(0.1, "nan")] + lines[row + 1 :],
     }
-    named = {"infinite amplitude": "row 1,1 ", "NaN amplitude": "row 1,1 "}
+    named = {"infinite amplitude": "realization 1, grid index 1 ",
+             "NaN amplitude": "realization 1, grid index 1 "}
     for name, text in cases.items():
         path.write_text("".join(text))
         with pytest.raises(DomainError, match=named.get(name)):

@@ -180,14 +180,13 @@ def test_sampler_rejects_custom_state():
         sm.sample_transmitted_counts(sm.QuantumState.custom(1.0, 0.5), 0.5, 10, _rng(0))
 
 
-def test_sampler_rejects_bad_shots():
-    with pytest.raises(DomainError):
-        sm.sample_transmitted_counts(sm.QuantumState.coherent(1.0), 0.5, 0, _rng(0))
-
-
-def test_sampler_rejects_array_transmission():
-    with pytest.raises(DomainError, match="scalar"):
-        sm.sample_transmitted_counts(sm.QuantumState.coherent(1.0), np.array([0.1, 0.5]), 10, _rng(0))
+@pytest.mark.parametrize("transmission,shots,message", [
+    (0.5, 0, "shots"),
+    (np.array([0.1, 0.5]), 10, "scalar"),
+], ids=["zero-shots", "array-transmission"])
+def test_sampler_rejects_bad_arguments(transmission, shots, message):
+    with pytest.raises(DomainError, match=message):
+        sm.sample_transmitted_counts(sm.QuantumState.coherent(1.0), transmission, shots, _rng(0))
 
 
 C_LONG_MAX = 2 ** 63 - 1
