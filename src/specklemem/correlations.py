@@ -27,30 +27,43 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, SingularParameterError
 
-# Below this offset, cosh sqrt(x) - cos sqrt(x) = x + x^3/360 + ... loses
-# most significant digits to cancellation; the truncated series are exact to
-# double precision there.  Inclusive so that the documented small-x bounds
-# hold at the threshold itself.
-SERIES_SWITCH = 1e-4
+# Up to this offset the kernel takes its series, because its scaled
+# numerator 1 - e^(-2u) - 2 e^(-u) sin u cancels at small u = sqrt(x).
+_KERNEL_SERIES_MAX = 4.0
 
-# Above this offset cosh sqrt(x) and sinh sqrt(x) equal e^sqrt(x) / 2 to
-# within e^-200 relative, and the cos and sin terms are below e^-100 relative,
-# so the closed forms take their exponential tails, which cannot overflow.
-ASYMPTOTIC_SWITCH = 1e4
+# (1/(4k+3)!, 1/(4k+2)!) for k = 6..0, the Horner coefficients of the kernel
+# series in x^2; seven terms are exact to double precision up to x = 4.
+_KERNEL_SERIES = tuple(
+    (1.0 / math.factorial(4 * k + 3), 1.0 / math.factorial(4 * k + 2)) for k in range(6, -1, -1)
+)
+
+_REAL_SCALARS = (float, int, np.floating, np.integer)
+
+
+def _checked_real(value, name: str, positive: bool = False) -> float:
+    """value as a finite float, >= 0 (> 0 if positive); DomainError otherwise.
+
+    Input that float() rejects or that is complex raises DomainError as well.
+    """
+    try:
+        # float() of a numpy complex only warns and drops the imaginary part.
+        if not isinstance(value, _REAL_SCALARS) and np.iscomplexobj(value):
+            raise TypeError("complex input")
+        v = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be a real number, got {value!r}") from exc
+    if not math.isfinite(v) or v < 0.0 or (positive and v == 0.0):
+        raise DomainError(f"{name} must be finite and {'>' if positive else '>='} 0, got {v}")
+    return v
 
 
 def _checked_offset(x) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(
-            f"normalized frequency offset must be finite and >= 0, got {x}"
-        )
-    return x
+    return _checked_real(x, "normalized frequency offset")
 
 
 def _checked_mean_transmission(mean_t) -> float:
-    q = float(mean_t)
-    if not math.isfinite(q) or not 0.0 < q <= 1.0:
+    q = _checked_real(mean_t, "mean transmission", positive=True)
+    if q > 1.0:
         raise DomainError(f"mean transmission must lie in (0, 1], got {mean_t}")
     return q
 
@@ -75,38 +88,51 @@ def _checked_whole(value, name: str) -> int:
 
 
 def _checked_fano(fano) -> float:
-    f = float(fano)
-    if not math.isfinite(f) or f < 0.0:
-        raise DomainError(f"Fano factor must be finite and >= 0, got {fano}")
-    return f
+    return _checked_real(fano, "Fano factor")
+
+
+def _scaled_denominator(u: float) -> tuple[float, float]:
+    """h = e^(-u/2) and d = 2 e^(-u) (cosh u - cos u), for u >= 0.
+
+    cosh u - cos u = 2 sinh^2(u/2) + 2 sin^2(u/2), so d is the sum of the
+    squares expm1(-u)^2 and (2 h sin(u/2))^2: nothing cancels or overflows.
+    """
+    h = math.exp(-0.5 * u)
+    s = 2.0 * h * math.sin(0.5 * u)
+    e = math.expm1(-u)
+    return h, e * e + s * s
 
 
 def intensity_decay(x) -> float:
     """Decay of the intensity speckle correlation at normalized offset x.
 
-    Evaluates x / (cosh sqrt(x) - cos sqrt(x)).  Monotonically decreasing
-    from 1 at x = 0; small offsets use the series denominator
-    1 + x^2/360 + x^4/1814400 to avoid catastrophic cancellation, and offsets
-    above ASYMPTOTIC_SWITCH the tail 2 x exp(-sqrt(x)).
+    Evaluates x / (cosh sqrt(x) - cos sqrt(x)), monotonically decreasing from
+    1 at x = 0.  Through cosh u - cos u = 2 sinh^2(u/2) + 2 sin^2(u/2),
+    u = sqrt(x), scaled by 2 e^(-u), it is the one formula
+    2 x e^(-u) / (expm1(-u)^2 + (2 e^(-u/2) sin(u/2))^2) for every x > 0.
     """
     x = _checked_offset(x)
-    if x <= SERIES_SWITCH:
-        return 1.0 / (1.0 + x * x / 360.0 + x ** 4 / 1814400.0)
-    u = math.sqrt(x)
-    if x > ASYMPTOTIC_SWITCH:
-        # Two half factors: neither underflows before the result itself does.
-        h = math.exp(-0.5 * u)
-        return 2.0 * x * h * h
-    return x / (math.cosh(u) - math.cos(u))
+    if x == 0.0:
+        return 1.0
+    h, d = _scaled_denominator(math.sqrt(x))
+    # Two half factors: neither underflows before the result itself does.
+    c = 2.0 * x * h * h / d
+    # The decay is at most 1; rounding alone exceeds it by up to 3 ulps below
+    # x ~ 3e-7.
+    return c if c < 1.0 else 1.0
 
 
 def mesoscopic_kernel(x) -> float:
     """Frequency kernel of the leading mesoscopic (non-Gaussian) correction.
 
     Evaluates (1/x) (sinh sqrt(x) - sin sqrt(x)) / (cosh sqrt(x) - cos sqrt(x)),
-    which behaves as 1/(3 sqrt(x)) for small x and as 1/x above
-    ASYMPTOTIC_SWITCH.  The zero-offset divergence is an artifact of the
-    plane-wave approximation, so x = 0 raises instead of returning inf.
+    which behaves as 1/(3 sqrt(x)) for small x and as 1/x for large x.  For
+    0 < x <= 4 it is the series ratio
+    sum x^(2k)/(4k+3)! / (sqrt(x) sum x^(2k)/(4k+2)!), k = 0..6; above, with
+    both parts scaled by 2 e^(-u) as in ``intensity_decay``, it is
+    (1 - e^(-2u) - 2 e^(-u) sin u) / (x (expm1(-u)^2 + (2 e^(-u/2) sin(u/2))^2)).
+    The zero-offset divergence is an artifact of the plane-wave
+    approximation, so x = 0 raises instead of returning inf.
     """
     x = _checked_offset(x)
     if x == 0.0:
@@ -114,14 +140,16 @@ def mesoscopic_kernel(x) -> float:
             "mesoscopic kernel diverges at zero offset (plane-wave "
             "approximation); use a strictly positive offset"
         )
-    if x <= SERIES_SWITCH:
-        num = 1.0 / 3.0 + x * x / 2520.0 + x ** 4 / 19958400.0
-        den = 1.0 + x * x / 360.0 + x ** 4 / 1814400.0
-        return num / (den * math.sqrt(x))
-    if x > ASYMPTOTIC_SWITCH:
-        return 1.0 / x
+    if x <= _KERNEL_SERIES_MAX:
+        y = x * x
+        num = den = 0.0
+        for a, b in _KERNEL_SERIES:
+            num = num * y + a
+            den = den * y + b
+        return num / (math.sqrt(x) * den)
     u = math.sqrt(x)
-    return (math.sinh(u) - math.sin(u)) / ((math.cosh(u) - math.cos(u)) * x)
+    h, d = _scaled_denominator(u)
+    return (-math.expm1(-2.0 * u) - 2.0 * h * h * math.sin(u)) / (d * x)
 
 
 def shot_noise_correlation(x) -> float:
@@ -188,10 +216,7 @@ class DiffusionGeometry:
 
     def __post_init__(self):
         for name in ("thickness", "mean_free_path", "diffusion_constant"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise DomainError(f"{name} must be finite and > 0, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _checked_real(getattr(self, name), name, positive=True))
         if self.mean_free_path > self.thickness:
             raise DomainError(
                 "mean_free_path must not exceed thickness "
@@ -202,10 +227,12 @@ class DiffusionGeometry:
     @classmethod
     def from_thickness_ratio(cls, ratio, mean_free_path=1.0, diffusion_constant=1.0):
         """Build a geometry from the ratio thickness / mean_free_path."""
+        ratio = _checked_real(ratio, "thickness ratio", positive=True)
+        mean_free_path = _checked_real(mean_free_path, "mean_free_path", positive=True)
         return cls(
-            thickness=float(ratio) * float(mean_free_path),
-            mean_free_path=float(mean_free_path),
-            diffusion_constant=float(diffusion_constant),
+            thickness=ratio * mean_free_path,
+            mean_free_path=mean_free_path,
+            diffusion_constant=diffusion_constant,
         )
 
     @property
@@ -220,7 +247,7 @@ class DiffusionGeometry:
 
     def normalized_offset(self, delta_omega) -> float:
         """Convert an angular-frequency offset to the dimensionless x."""
-        return _checked_offset(float(delta_omega) / self.omega_d)
+        return _checked_offset(_checked_real(delta_omega, "frequency offset") / self.omega_d)
 
 
 def noise_correlation_expansion(x, fano, mean_t, geometry: DiffusionGeometry):

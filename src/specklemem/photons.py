@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import _checked_whole
+from .correlations import _REAL_SCALARS, _checked_real, _checked_whole
 from .errors import DomainError, UnsupportedSamplingError
 
 STATE_KINDS = ("fock", "coherent", "thermal", "custom")
@@ -34,12 +34,8 @@ class QuantumState:
     kind: str = "custom"
 
     def __post_init__(self):
-        n = float(self.mean_photons)
-        f = float(self.fano)
-        if not math.isfinite(n) or n < 0.0:
-            raise DomainError(f"mean_photons must be finite and >= 0, got {n}")
-        if not math.isfinite(f) or f < 0.0:
-            raise DomainError(f"fano must be finite and >= 0, got {f}")
+        n = _checked_real(self.mean_photons, "mean_photons")
+        f = _checked_real(self.fano, "fano")
         if self.kind not in STATE_KINDS:
             raise DomainError(f"unknown state kind {self.kind!r}")
         if self.kind == "fock" and (n != int(n) or f != 0.0):
@@ -64,15 +60,14 @@ class QuantumState:
     @classmethod
     def thermal(cls, nbar: float) -> "QuantumState":
         """Single-mode thermal state with mean nbar (fano 1 + nbar)."""
-        return cls(mean_photons=nbar, fano=1.0 + float(nbar), kind="thermal")
+        nbar = _checked_real(nbar, "mean_photons")
+        return cls(mean_photons=nbar, fano=1.0 + nbar, kind="thermal")
 
     @classmethod
     def custom(cls, mean_photons: float, fano: float) -> "QuantumState":
         """Arbitrary (mean, fano) pair; not supported by the count samplers."""
         return cls(mean_photons=mean_photons, fano=fano, kind="custom")
 
-
-_REAL_SCALARS = (int, float, np.integer, np.floating)
 
 # Largest parameter of each count law; sample_transmitted_counts derives them.
 _C_LONG_MAX = np.iinfo("l").max
@@ -121,12 +116,8 @@ def transmitted_variance_classical(mean_photons, transmission, noise_scale=1.0):
     constant that cancels in every normalized correlation.
     """
     t = _checked_transmission(transmission)
-    n = float(mean_photons)
-    scale = float(noise_scale)
-    if not math.isfinite(n) or n < 0.0:
-        raise DomainError(f"mean_photons must be finite and >= 0, got {n}")
-    if not math.isfinite(scale) or scale <= 0.0:
-        raise DomainError(f"noise_scale must be finite and > 0, got {scale}")
+    n = _checked_real(mean_photons, "mean_photons")
+    scale = _checked_real(noise_scale, "noise_scale", positive=True)
     return scale * n * n * t * t
 
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import specklemem as sm
-from specklemem.correlations import ASYMPTOTIC_SWITCH, SERIES_SWITCH
 from specklemem.errors import (
     DivergenceError,
     DomainError,
@@ -102,20 +101,6 @@ def test_decay_rejects_bad_offsets(bad):
         sm.intensity_decay(bad)
 
 
-def test_decay_series_direct_crossover():
-    # Both branches restated inline; they must agree near the switch point.
-    def direct(x):
-        u = math.sqrt(x)
-        return x / (math.cosh(u) - math.cos(u))
-
-    def series(x):
-        return 1.0 / (1.0 + x * x / 360.0 + x ** 4 / 1814400.0)
-
-    for x in (0.5 * SERIES_SWITCH, 0.75 * SERIES_SWITCH, SERIES_SWITCH,
-              1.5 * SERIES_SWITCH, 2.0 * SERIES_SWITCH):
-        assert abs(series(x) - direct(x)) <= 1e-10
-
-
 # --- mesoscopic kernel -----------------------------------------------------
 
 
@@ -138,36 +123,39 @@ def test_kernel_small_offset_asymptote():
         assert 0.99 <= scaled <= 1.0
 
 
-def test_kernel_series_direct_crossover():
-    # The kernel is ~33-47 near the switch, so the continuity bound is taken
-    # relative to the value; the direct branch's cancellation floor alone is
-    # a few 1e-10 absolute below the switch.
-    def direct(x):
-        u = math.sqrt(x)
-        return (math.sinh(u) - math.sin(u)) / ((math.cosh(u) - math.cos(u)) * x)
-
-    def series(x):
-        num = 1.0 / 3.0 + x * x / 2520.0 + x ** 4 / 19958400.0
-        den = 1.0 + x * x / 360.0 + x ** 4 / 1814400.0
-        return num / (den * math.sqrt(x))
-
-    for x in (0.5 * SERIES_SWITCH, SERIES_SWITCH, 2.0 * SERIES_SWITCH):
-        assert abs(series(x) - direct(x)) <= 1e-10 * max(1.0, series(x))
-
-
 def test_kernel_positive_everywhere():
     for x in np.geomspace(1e-10, 1e4, 60):
         assert sm.mesoscopic_kernel(x) > 0.0
 
 
-# --- large offsets -----------------------------------------------------------
+# --- oracle sweep and large offsets ------------------------------------------
+
+
+def test_closed_forms_match_oracle_sweep():
+    # Both closed forms against the 50-digit oracle at 1e-15 relative, scaled
+    # by the relative condition number max(1, sqrt(x)/2) of the decay (the
+    # kernel's is smaller).  The sweep covers the kernel's series bound x = 4.
+    offsets = np.geomspace(1e-12, 1e3, 241).tolist() + np.linspace(0.0, 100.0, 201)[1:].tolist()
+    offsets += [4.0, math.nextafter(4.0, math.inf)]
+    with mp.workdps(50):
+        for x in offsets:
+            bound = 1e-15 * max(1.0, math.sqrt(x) / 2)
+            exact = _oracle_decay(x)
+            assert abs(sm.intensity_decay(x) - exact) <= bound * exact, x
+            exact = _oracle_kernel(x)
+            assert abs(sm.mesoscopic_kernel(x) - exact) <= bound * exact, x
+
+
+def test_decay_never_exceeds_one():
+    for x in np.geomspace(1e-300, 1e-2, 2001):
+        assert sm.intensity_decay(x) <= 1.0
 
 
 def test_large_offset_tails_match_oracle():
     # The decay's relative condition number is about sqrt(x)/2 there, so its
     # bound scales with it.  The linear points straddle x ~ 5.1e5, where
     # exp(-sqrt(x)) alone is subnormal but the decay is not.
-    offsets = [ASYMPTOTIC_SWITCH, math.nextafter(ASYMPTOTIC_SWITCH, math.inf)]
+    offsets = [1e4, math.nextafter(1e4, math.inf)]
     offsets += np.geomspace(1e4, 1e300, 120).tolist() + np.linspace(4.9e5, 5.3e5, 41).tolist()
     with mp.workdps(50):
         for x in offsets:
@@ -363,6 +351,45 @@ def test_pair_moment_far_offset_approaches_uncorrelated():
     q = 0.01
     value = sm.transmission_pair_moment(1e4, q, geom)
     assert abs(value - q * q) / (q * q) < 1e-4
+
+
+# --- argument conversion ---------------------------------------------------
+
+
+_GEOMETRY = sm.DiffusionGeometry.from_thickness_ratio(3.0)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: sm.intensity_decay("abc"), "normalized frequency offset"),
+    (lambda: sm.intensity_decay(1j), "normalized frequency offset"),
+    (lambda: sm.mesoscopic_kernel(np.complex128(2.0)), "normalized frequency offset"),
+    (lambda: sm.classical_noise_correlation(10 ** 400), "normalized frequency offset"),
+    (lambda: sm.shot_noise_correlation(np.array([1.0, 2.0])), "normalized frequency offset"),
+    (lambda: sm.quantum_noise_correlation(1.0, "abc", 0.01), "Fano factor"),
+    (lambda: sm.quantum_noise_correlation(1.0, 2.0, None), "mean transmission"),
+    (lambda: sm.transmission_pair_moment(1.0, 1j, _GEOMETRY), "mean transmission"),
+    (lambda: sm.DiffusionGeometry(thickness="abc", mean_free_path=1.0), "thickness"),
+    (lambda: sm.DiffusionGeometry(3.0, 1.0, diffusion_constant=[1.0, 2.0]), "diffusion_constant"),
+    (lambda: sm.DiffusionGeometry.from_thickness_ratio(None), "thickness ratio"),
+    (lambda: sm.DiffusionGeometry.from_thickness_ratio(3.0, mean_free_path="x"), "mean_free_path"),
+    (lambda: sm.DiffusionGeometry.from_thickness_ratio(3.0, diffusion_constant=1j), "diffusion_constant"),
+    (lambda: _GEOMETRY.normalized_offset("abc"), "frequency offset"),
+    (lambda: sm.QuantumState.coherent("x"), "mean_photons"),
+    (lambda: sm.QuantumState.thermal(None), "mean_photons"),
+    (lambda: sm.QuantumState.fock(1j), "mean_photons"),
+    (lambda: sm.QuantumState.custom(1.0, "x"), "fano"),
+    (lambda: sm.transmitted_variance_classical("x", 0.5), "mean_photons"),
+    (lambda: sm.transmitted_variance_classical(1.0, 0.5, noise_scale=None), "noise_scale"),
+], ids=[
+    "decay-text", "decay-complex", "kernel-numpy-complex", "classical-int-overflow",
+    "shot-array", "quantum-fano", "quantum-mean-t", "pair-moment-mean-t",
+    "geometry-thickness", "geometry-diffusion", "ratio-none", "ratio-mean-free-path",
+    "ratio-diffusion", "normalized-offset", "coherent", "thermal", "fock", "custom-fano",
+    "classical-variance-photons", "classical-variance-scale",
+])
+def test_non_real_arguments_raise_domain_error(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be a real number"):
+        call()
 
 
 # --- correlation curve container --------------------------------------------
