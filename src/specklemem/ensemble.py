@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy import stats
+from scipy import linalg, stats
 
 from .correlations import (
     CorrelationCurve,
@@ -151,15 +151,27 @@ def build_field_covariance(grid, mean_t) -> np.ndarray:
 
 
 def _covariance_factor(cov: np.ndarray, mean_t: float) -> np.ndarray:
-    """Lower-triangular factor of cov: eigh, clip round-off negatives, jitter, Cholesky."""
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    """Lower-triangular factor of cov from its eigenpairs above 1e-12 * mean_t.
+
+    cov + 1e-10 * mean_t * I must have a Cholesky factor, or the covariance
+    is indefinite and CovarianceModelError names its smallest eigenvalue.  The
+    eigenpairs above 1e-12 * mean_t (a subset eigendecomposition) rebuild the
+    matrix, which takes a 1e-12 * mean_t diagonal jitter and is factored.
+    """
     tol = 1e-10 * mean_t
-    if eigvals.min() < -tol:
+    shifted = cov.copy()
+    shifted[np.diag_indices_from(shifted)] += tol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        smallest = linalg.eigh(cov, eigvals_only=True, subset_by_index=[0, 0])[0]
         raise CovarianceModelError(
-            f"covariance is indefinite (min eigenvalue {eigvals.min():.3e} "
+            f"covariance is indefinite (min eigenvalue {smallest:.3e} "
             f"< -{tol:.3e}); the kernel is not consistent on this grid"
-        )
-    fixed = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.conj().T
+        ) from None
+    del shifted
+    eigvals, eigvecs = linalg.eigh(cov, subset_by_value=(1e-12 * mean_t, np.inf), driver="evr")
+    fixed = (eigvecs * eigvals) @ eigvecs.conj().T
     fixed[np.diag_indices_from(fixed)] += 1e-12 * mean_t
     fixed = 0.5 * (fixed + fixed.conj().T)
     return np.linalg.cholesky(fixed)
@@ -213,9 +225,9 @@ def generate_ensemble(
 
     The grid and mean_t are checked as ``build_ensemble`` checks them, and cov
     must be finite and Hermitian.  The factor is always the Cholesky factor of
-    cov after an eigendecomposition that clips eigenvalues within round-off of
-    zero and adds a 1e-12 * mean_t diagonal jitter; an eigenvalue below
-    -1e-10 * mean_t raises CovarianceModelError.  Realization r takes its 2K
+    cov rebuilt from its eigenpairs above 1e-12 * mean_t, plus a 1e-12 *
+    mean_t diagonal jitter; an eigenvalue below -1e-10 * mean_t raises
+    CovarianceModelError.  Realization r takes its 2K
     normals from its own substream, so row r depends only on (seed, r); they
     fill row r of one preallocated array, real parts first.
     """

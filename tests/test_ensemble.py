@@ -85,6 +85,30 @@ def test_generate_rejects_indefinite_covariance():
         sm.generate_ensemble(cov, np.array([0.0, 1.0]), 1.0, 10, SEED)
 
 
+def _hermitian_with_smallest_eigenvalue(smallest):
+    """Q diag(lam) Q^H on six points, Q a fixed random unitary, lam[0] = smallest."""
+    rng = np.random.default_rng(6)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    cov = (q * np.array([smallest, 0.5, 0.8, 1.0, 1.2, 1.5])) @ q.conj().T
+    return 0.5 * (cov + cov.conj().T)
+
+
+INDEFINITE_TOL = 1e-10  # * mean_t, with mean_t = 1
+
+
+def test_generate_rejects_eigenvalue_below_tolerance():
+    cov = _hermitian_with_smallest_eigenvalue(-2.0 * INDEFINITE_TOL)
+    with pytest.raises(CovarianceModelError, match=r"min eigenvalue -2\.000e-10 "):
+        sm.generate_ensemble(cov, np.linspace(0.0, 5.0, 6), 1.0, 10, SEED)
+
+
+def test_generate_accepts_eigenvalue_within_tolerance():
+    cov = _hermitian_with_smallest_eigenvalue(-0.5 * INDEFINITE_TOL)
+    ens = sm.generate_ensemble(cov, np.linspace(0.0, 5.0, 6), 1.0, 10, SEED)
+    assert ens.amplitudes.shape == (10, 6)
+    assert np.all(np.isfinite(ens.amplitudes))
+
+
 FACTOR_GRIDS = pytest.mark.parametrize("grid", [
     np.array(MOMENT_GRID),
     np.array(COUNTING_GRID),
@@ -115,7 +139,8 @@ def test_covariance_matches_per_pair_loop(grid):
 
 @FACTOR_GRIDS
 def test_covariance_factor_reproduces_covariance(grid):
-    # Clipping and the 1e-12 * mean_t jitter are the only departures from cov.
+    # The dropped eigenpairs, at or below 1e-12 * mean_t, and the 1e-12 * mean_t
+    # jitter are the only departures from cov.
     q = 0.01
     cov = sm.build_field_covariance(grid, q)
     factor = _covariance_factor(cov, q)
