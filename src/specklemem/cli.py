@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from itertools import islice
 
 import numpy as np
 
@@ -61,6 +63,8 @@ MAX_COUNTING_REALIZATIONS = 2000
 # Resolved settings echoed in the validate report's "config" block.
 REPORT_CONFIG_KEYS = ("grid_min", "grid_max", "grid_points", "grid_scale", "mean_t",
                       "realizations", "shots", "seed")
+# Curve rows formatted and written at a time, so the CSV text is never whole.
+CSV_CHUNK_ROWS = 8192
 
 
 class ConfigError(Exception):
@@ -213,23 +217,32 @@ def _build_grid(cfg: dict, include_zero: bool) -> np.ndarray:
     return grid
 
 
-def _write_text(path, text: str) -> None:
+@contextmanager
+def _output(path):
+    """The text stream of an output path: stdout when None, left open."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_text(path, text: str) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _write_json(path, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_text(header: list[str], columns: list[list[float]]) -> str:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+def _write_csv(path, header: list[str], columns: list[list[float]]) -> None:
+    """Header line, then one line of repr values per row, CSV_CHUNK_ROWS rows per write."""
+    rows = zip(*columns)
+    with _output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in chunk]))
 
 
 def _json_float(v):
@@ -267,7 +280,7 @@ def cmd_curves(cfg: dict) -> int:
                 columns.append(first_order_correction(c, g, fano, 1.0, geom).tolist())
 
     if (cfg["format"] or "csv") == "csv":
-        _write_text(cfg["out"], _csv_text(header, columns))
+        _write_csv(cfg["out"], header, columns)
     else:
         payload = {
             "figure": cfg["figure"],

@@ -12,8 +12,9 @@ Gaussian moment of T = |t|^2 has a closed form to validate against.
 Randomness is counter-based: realization r draws from a Philox stream with
 counter (r << 128) | (tag << 64) under the master seed, so every row of an
 ensemble depends only on the seed and its realization index, and ensembles
-and estimates are bit-identical for a fixed seed.  Generation is a single
-loop and reductions always run in fixed realization order.
+and estimates are bit-identical for a fixed seed.  Generation runs block by
+block in realization order and reductions always run in fixed realization
+order.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ FIELD_STREAM = 0
 COUNT_STREAM = 1
 BOOT_STREAM = 2
 
+# Bytes of one generation block's draws: 32 K bytes per realization, its 2K
+# normals and its K complex values, so about 260 rows at K = 2000.
+_DRAW_BLOCK_BYTES = 16 << 20
+
 # Bootstrap resamples whose counts share one matrix product: at R = 1e5 each
 # of the block's index, count and weight arrays takes 6.4 MB.
 _BOOT_BLOCK = 8
@@ -65,6 +70,8 @@ KS_SIGNIFICANCE = 0.01  # of the Kolmogorov-Smirnov test in rayleigh_check
 
 
 def _checked_unsigned(value, name: str, bits: int) -> int:
+    if type(value) is int and 0 <= value < 1 << bits:  # bools and numpy ints take the full check
+        return value
     v = _checked_whole(value, name)
     if not 0 <= v < 1 << bits:
         raise DomainError(f"{name} must be a {bits}-bit unsigned integer, got {value}")
@@ -112,9 +119,11 @@ def substream(seed, realization: int, tag: int = FIELD_STREAM) -> np.random.Gene
     be whole numbers in [0, 2**64) and the realization one in [0, 2**128);
     anything else raises DomainError.
     """
-    counter = (_checked_unsigned(realization, "realization", 128) << 128) | (
-        _checked_unsigned(tag, "tag", 64) << 64)
-    return np.random.Generator(np.random.Philox(_PhiloxKey(_checked_seed(seed)), counter=counter))
+    r = _checked_unsigned(realization, "realization", 128)
+    # The counter as its four uint64 words, least significant first.
+    words = np.array([0, _checked_unsigned(tag, "tag", 64), r & ((1 << 64) - 1), r >> 64],
+                     dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(_checked_seed(seed)), counter=words))
 
 
 def field_kernel(x) -> complex:
@@ -207,7 +216,8 @@ class SpeckleEnsemble:
     @cached_property
     def transmissions(self) -> np.ndarray:
         """Intensity transmission coefficients T = |t|^2, same shape as amplitudes."""
-        return np.abs(self.amplitudes) ** 2
+        t = np.abs(self.amplitudes)
+        return np.square(t, out=t)  # in place, not left to numpy's temporary elision
 
     def pair_offsets(self) -> np.ndarray:
         """Offsets of every grid point relative to the reference x_0."""
@@ -227,9 +237,13 @@ def generate_ensemble(
     must be finite and Hermitian.  The factor is always the Cholesky factor of
     cov rebuilt from its eigenpairs above 1e-12 * mean_t, plus a 1e-12 *
     mean_t diagonal jitter; an eigenvalue below -1e-10 * mean_t raises
-    CovarianceModelError.  Realization r takes its 2K
-    normals from its own substream, so row r depends only on (seed, r); they
-    fill row r of one preallocated array, real parts first.
+    CovarianceModelError.  Realization r takes its 2K normals from its own
+    substream, real parts first, so row r depends only on (seed, r).  The
+    rows are drawn and multiplied by the factor in blocks of nearly equal size
+    whose draws take at most about _DRAW_BLOCK_BYTES, each written into its
+    rows of the preallocated amplitude array.  No block has one row unless
+    R = 1: numpy multiplies a single row by a different (gemv) kernel, which
+    rounds differently from the whole-array product.
     """
     grid = _checked_grid(grid)
     mean_t = _checked_mean_transmission(mean_t)
@@ -250,17 +264,21 @@ def generate_ensemble(
     factor_t = _covariance_factor(cov, mean_t).T.copy()
     root_half = math.sqrt(0.5)
 
-    raw = np.empty((r_total, 2 * k))
-    for r in range(r_total):
-        substream(seed, r, FIELD_STREAM).standard_normal(out=raw[r])
-    # Filled in place: no R x K complex temporaries on top of raw and xi.
-    xi = np.empty((r_total, k), dtype=complex)
-    xi.real = raw[:, :k]
-    xi.imag = raw[:, k:]
-    del raw
-    xi *= root_half
-
-    amplitudes = xi @ factor_t
+    # At least 4 rows a block, so that nearly equal blocks have at least 2 rows.
+    n_blocks = -(-r_total // max(4, _DRAW_BLOCK_BYTES // (32 * k)))
+    bounds = [r_total * i // n_blocks for i in range(n_blocks + 1)]
+    rows_max = -(-r_total // n_blocks)
+    raw_block = np.empty((rows_max, 2 * k))
+    xi_block = np.empty((rows_max, k), dtype=complex)
+    amplitudes = np.empty((r_total, k), dtype=complex)
+    for lo, hi in zip(bounds, bounds[1:]):
+        raw, xi = raw_block[:hi - lo], xi_block[:hi - lo]
+        for r in range(lo, hi):
+            substream(seed, r, FIELD_STREAM).standard_normal(out=raw[r - lo])
+        xi.real = raw[:, :k]
+        xi.imag = raw[:, k:]
+        xi *= root_half
+        np.matmul(xi, factor_t, out=amplitudes[lo:hi])
     return SpeckleEnsemble(amplitudes=amplitudes, grid=grid, mean_t=mean_t, seed=seed)
 
 

@@ -87,6 +87,24 @@ def test_curves_fig2_matches_per_point_expansion(tmp_path):
     assert json.loads(json_out.read_text())["columns"] == dict(zip(header, columns))
 
 
+def test_curves_fig1_streams_the_rows_of_several_chunks(tmp_path, capsys):
+    points = 2 * cli.CSV_CHUNK_ROWS + 3
+    xs = np.linspace(0.0, 100.0, points).tolist()
+    lines = ["x,c_sn,c_cn"] + [
+        ",".join(map(repr, (x, sm.shot_noise_correlation(x), sm.classical_noise_correlation(x))))
+        for x in xs
+    ]
+    expected = "\n".join(lines) + "\n"
+    args = ["curves", "fig1", "--grid-min", "0", "--grid-max", "100",
+            "--grid-points", str(points), "--grid-scale", "lin"]
+    out = tmp_path / "fig1.csv"
+    assert cli.main(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_curves_fig2_independent_of_mean_t(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from specklemem.ensemble import (
     BOOT_STREAM,
     COUNT_STREAM,
     FIELD_STREAM,
+    _DRAW_BLOCK_BYTES,
     _covariance_factor,
     _per_realization_variances,
     _PhiloxKey,
@@ -214,16 +216,45 @@ def _per_row_reference(grid, mean_t, r_total, seed):
     return xi @ factor_t
 
 
+DEFAULT_CURVE_GRID = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 25)))
+# Whole blocks of the draw budget at K = 400 would leave a 1-row remainder here.
+TWO_BLOCKS_AND_ONE_ROW = 2 * (_DRAW_BLOCK_BYTES // (32 * 400)) + 1
+
+
 @pytest.mark.parametrize("seed", [1002, 2011])
-@pytest.mark.parametrize("grid", [
-    np.array(MOMENT_GRID),
-    np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 25))),
-], ids=["moment", "default-curve"])
-def test_generation_matches_per_row_reference(grid, seed):
-    ens = sm.build_ensemble(grid, 0.01, 600, seed)
-    ref = _per_row_reference(grid, 0.01, 600, seed)
+@pytest.mark.parametrize("grid,r_total", [
+    (np.array(MOMENT_GRID), 600),
+    (DEFAULT_CURVE_GRID, 600),
+    (np.linspace(0.0, 100.0, 400), TWO_BLOCKS_AND_ONE_ROW),
+    (np.array(MOMENT_GRID), 1),
+    (np.array(MOMENT_GRID), 2),
+], ids=["moment", "default-curve", "lin400-blocks", "one-row", "two-rows"])
+def test_generation_matches_per_row_reference(grid, r_total, seed):
+    ens = sm.build_ensemble(grid, 0.01, r_total, seed)
+    ref = _per_row_reference(grid, 0.01, r_total, seed)
     assert ens.amplitudes.tobytes() == ref.tobytes()
 
+
+def test_generation_and_transmissions_hold_one_array_beside_their_result():
+    # numpy reports its array allocations to tracemalloc.  At R = 200,000 the
+    # amplitudes are several times the draw budget, so whole-array draws
+    # (2R x K floats and R x K complex values) would double the peak.
+    cov = sm.build_field_covariance(DEFAULT_CURVE_GRID, 0.01)
+    tracemalloc.start()
+    try:
+        ens = sm.generate_ensemble(cov, DEFAULT_CURVE_GRID, 0.01, 200_000, SEED)
+        _, generation_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        t = ens.transmissions
+        _, transmissions_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    factor_bytes = cov.nbytes
+    assert ens.amplitudes.nbytes > 4 * _DRAW_BLOCK_BYTES
+    assert generation_peak < (1.25 * ens.amplitudes.nbytes + cov.nbytes + factor_bytes
+                              + _DRAW_BLOCK_BYTES)
+    assert transmissions_peak - before < 1.25 * t.nbytes
 
 
 def test_generate_checks_its_own_inputs():
