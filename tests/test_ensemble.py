@@ -250,7 +250,7 @@ def test_generation_and_transmissions_hold_one_array_beside_their_result():
         _, transmissions_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    factor_bytes = cov.nbytes
+    factor_bytes = cov.nbytes  # the factor is K x K complex too
     assert ens.amplitudes.nbytes > 4 * _DRAW_BLOCK_BYTES
     assert generation_peak < (1.25 * ens.amplitudes.nbytes + cov.nbytes + factor_bytes
                               + _DRAW_BLOCK_BYTES)
