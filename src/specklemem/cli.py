@@ -65,6 +65,12 @@ REPORT_CONFIG_KEYS = ("grid_min", "grid_max", "grid_points", "grid_scale", "mean
                       "realizations", "shots", "seed")
 # Curve rows formatted and written at a time, so the CSV text is never whole.
 CSV_CHUNK_ROWS = 8192
+# Allowed values of the options with a fixed set, for their flags and config keys alike.
+CHOICES = {
+    "grid_scale": ("lin", "log"),
+    "format": ("csv", "json"),
+    "state": ("fock", "coherent", "thermal"),
+}
 
 
 class ConfigError(Exception):
@@ -112,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid-min", type=float, help="smallest offset x on the grid")
             p.add_argument("--grid-max", type=float, help="largest offset x on the grid")
             p.add_argument("--grid-points", type=int, help="number of grid points")
-            p.add_argument("--grid-scale", choices=("lin", "log"), help="grid spacing")
+            p.add_argument("--grid-scale", choices=CHOICES["grid_scale"], help="grid spacing")
         if fig2:
             p.add_argument("--fano", type=_float_list, help="comma-separated Fano factors")
             p.add_argument(
@@ -129,11 +135,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--shots", type=int, help="photon-count shots")
             p.add_argument("--seed", type=int, help="master seed (required)")
         if sampler:
-            p.add_argument("--state", choices=("fock", "coherent", "thermal"), help="input state kind")
+            p.add_argument("--state", choices=CHOICES["state"], help="input state kind")
             p.add_argument("--mean-photons", type=float, dest="mean_photons", help="mean photon number")
             p.add_argument("--transmission", type=float, help="intensity transmission in [0, 1]")
         p.add_argument("--out", help="output path (stdout when omitted)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        p.add_argument("--format", choices=CHOICES["format"], help="output format")
         p.add_argument("--config", help="JSON config file; flags take precedence")
         p.add_argument("--show-config", action="store_true", help="print resolved config and exit")
 
@@ -187,6 +193,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _check_config(cfg: dict) -> None:
+    for key, allowed in CHOICES.items():
+        # An unset format (None) means each command's own default.
+        if cfg[key] not in allowed and not (key == "format" and cfg[key] is None):
+            raise ConfigError(f"{key} must be one of {', '.join(allowed)}, got {cfg[key]!r}")
     if cfg["grid_points"] < 2:
         raise ConfigError("grid needs at least 2 points")
     if not cfg["grid_min"] < cfg["grid_max"]:
@@ -201,8 +211,6 @@ def _check_config(cfg: dict) -> None:
         raise ConfigError(f"{cfg['command']} needs --seed for reproducibility")
     if cfg["command"] == "validate" and cfg["format"] not in (None, "json"):
         raise ConfigError("validate reports are JSON only")
-    if cfg["command"] == "sample-stats" and cfg["state"] not in ("fock", "coherent", "thermal"):
-        raise ConfigError(f"sample-stats cannot draw counts for state {cfg['state']!r}")
 
 
 def _build_grid(cfg: dict, include_zero: bool) -> np.ndarray:
@@ -227,22 +235,23 @@ def _output(path):
             yield fh
 
 
-def _write_text(path, text: str) -> None:
-    with _output(path) as fh:
-        fh.write(text)
-
-
 def _write_json(path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Indented JSON with sorted keys, encoded piece by piece into the stream."""
+    with _output(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def _write_csv(path, header: list[str], columns: list[list[float]]) -> None:
-    """Header line, then one line of repr values per row, CSV_CHUNK_ROWS rows per write."""
+def _write_csv(path, header: list[str], columns: list[list]) -> None:
+    """Header line, then one line of str values per row, CSV_CHUNK_ROWS rows per write.
+
+    str of a Python float or int is its repr, and a text cell is written as is.
+    """
     rows = zip(*columns)
     with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-            fh.write("".join([",".join(map(repr, row)) + "\n" for row in chunk]))
+            fh.write("".join([",".join(map(str, row)) + "\n" for row in chunk]))
 
 
 def _json_float(v):
@@ -396,12 +405,10 @@ def cmd_sample_stats(cfg: dict) -> int:
     summary = summarize_counts(counts)
 
     if (cfg["format"] or "csv") == "csv":
-        lines = ["shot,count"]
-        lines.extend(f"{i},{int(c)}" for i, c in enumerate(counts))
-        lines.append(f"mean,{summary.mean!r}")
-        lines.append(f"variance,{summary.variance!r}")
-        lines.append(f"fano,{summary.fano!r}")
-        _write_text(cfg["out"], "\n".join(lines) + "\n")
+        # One shot per row, then the three summary rows labelled in the shot column.
+        labels = [*range(counts.size), "mean", "variance", "fano"]
+        values = [*counts.tolist(), summary.mean, summary.variance, summary.fano]
+        _write_csv(cfg["out"], ["shot", "count"], [labels, values])
     else:
         payload = {
             "state": cfg["state"],

@@ -160,30 +160,24 @@ def build_field_covariance(grid, mean_t) -> np.ndarray:
 
 
 def _covariance_factor(cov: np.ndarray, mean_t: float) -> np.ndarray:
-    """Lower-triangular factor of cov from its eigenpairs above 1e-12 * mean_t.
+    """Lower-triangular Cholesky factor of cov + 1e-12 * mean_t * I.
 
-    cov + 1e-10 * mean_t * I must have a Cholesky factor, or the covariance
-    is indefinite and CovarianceModelError names its smallest eigenvalue.  The
-    eigenpairs above 1e-12 * mean_t (a subset eigendecomposition) rebuild the
-    matrix, which takes a 1e-12 * mean_t diagonal jitter and is factored.
+    The jitter lifts the round-off eigenvalues of a rank-deficient kernel
+    covariance.  Where the jittered matrix has no Cholesky factor, cov is
+    indefinite beyond round-off and CovarianceModelError names its smallest
+    eigenvalue.
     """
-    tol = 1e-10 * mean_t
+    jitter = 1e-12 * mean_t
     shifted = cov.copy()
-    shifted[np.diag_indices_from(shifted)] += tol
+    shifted[np.diag_indices_from(shifted)] += jitter
     try:
-        np.linalg.cholesky(shifted)
+        return np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         smallest = linalg.eigh(cov, eigvals_only=True, subset_by_index=[0, 0])[0]
         raise CovarianceModelError(
             f"covariance is indefinite (min eigenvalue {smallest:.3e} "
-            f"< -{tol:.3e}); the kernel is not consistent on this grid"
+            f"< -{jitter:.3e}); the kernel is not consistent on this grid"
         ) from None
-    del shifted
-    eigvals, eigvecs = linalg.eigh(cov, subset_by_value=(1e-12 * mean_t, np.inf), driver="evr")
-    fixed = (eigvecs * eigvals) @ eigvecs.conj().T
-    fixed[np.diag_indices_from(fixed)] += 1e-12 * mean_t
-    fixed = 0.5 * (fixed + fixed.conj().T)
-    return np.linalg.cholesky(fixed)
 
 
 @dataclass
@@ -234,10 +228,10 @@ def generate_ensemble(
     """Draw circular Gaussian amplitude vectors with the given covariance.
 
     The grid and mean_t are checked as ``build_ensemble`` checks them, and cov
-    must be finite and Hermitian.  The factor is always the Cholesky factor of
-    cov rebuilt from its eigenpairs above 1e-12 * mean_t, plus a 1e-12 *
-    mean_t diagonal jitter; an eigenvalue below -1e-10 * mean_t raises
-    CovarianceModelError.  Realization r takes its 2K normals from its own
+    must be finite and Hermitian.  The draws have covariance cov + 1e-12 *
+    mean_t * I, through its Cholesky factor; where that matrix has none (cov
+    has an eigenvalue below about -1e-12 * mean_t) CovarianceModelError is
+    raised.  Realization r takes its 2K normals from its own
     substream, real parts first, so row r depends only on (seed, r).  The
     rows are drawn and multiplied by the factor in blocks of nearly equal size
     whose draws take at most about _DRAW_BLOCK_BYTES, each written into its

@@ -90,19 +90,23 @@ def test_curves_fig2_matches_per_point_expansion(tmp_path):
 def test_curves_fig1_streams_the_rows_of_several_chunks(tmp_path, capsys):
     points = 2 * cli.CSV_CHUNK_ROWS + 3
     xs = np.linspace(0.0, 100.0, points).tolist()
-    lines = ["x,c_sn,c_cn"] + [
-        ",".join(map(repr, (x, sm.shot_noise_correlation(x), sm.classical_noise_correlation(x))))
-        for x in xs
-    ]
-    expected = "\n".join(lines) + "\n"
-    args = ["curves", "fig1", "--grid-min", "0", "--grid-max", "100",
-            "--grid-points", str(points), "--grid-scale", "lin"]
-    out = tmp_path / "fig1.csv"
-    assert cli.main(args + ["--out", str(out)]) == 0
-    assert out.read_bytes() == expected.encode()
-    capsys.readouterr()
-    assert cli.main(args) == 0
-    assert capsys.readouterr().out == expected
+    c_sn = [sm.shot_noise_correlation(x) for x in xs]
+    c_cn = [sm.classical_noise_correlation(x) for x in xs]
+    lines = ["x,c_sn,c_cn"] + [",".join(map(repr, row)) for row in zip(xs, c_sn, c_cn)]
+    payload = {"figure": "fig1", "columns": {"x": xs, "c_sn": c_sn, "c_cn": c_cn}}
+    expected = {
+        "csv": "\n".join(lines) + "\n",
+        "json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    }
+    for fmt, text in expected.items():
+        args = ["curves", "fig1", "--grid-min", "0", "--grid-max", "100",
+                "--grid-points", str(points), "--grid-scale", "lin", "--format", fmt]
+        out = tmp_path / f"fig1.{fmt}"
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == text.encode(), fmt
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == text, fmt
 
 
 def test_curves_fig2_independent_of_mean_t(tmp_path):
@@ -429,10 +433,16 @@ def test_config_file_rejects_malformed_values(tmp_path):
         "non-numeric count": json.dumps({"grid_points": "junk"}),
         "non-numeric Fano list": json.dumps({"fano": "0,abc"}),
         "invalid JSON": '{"grid_points": 4',
+        "unknown grid scale": json.dumps({"grid_scale": "cubic"}),
+        "null grid scale": json.dumps({"grid_scale": None}),
+        "unknown format": json.dumps({"format": "xml"}),
     }
     for name, text in cases.items():
         cfg.write_text(text)
         assert cli.main(["curves", "fig1", "--config", str(cfg)]) == cli.EXIT_CONFIG, name
+    cfg.write_text(json.dumps({"format": "xml"}))
+    code = cli.main(["sample-stats", "--seed", "1", "--config", str(cfg)])
+    assert code == cli.EXIT_CONFIG
     missing = str(tmp_path / "missing.json")
     assert cli.main(["curves", "fig1", "--config", missing]) == cli.EXIT_CONFIG
     with pytest.raises(SystemExit):  # argparse reports a bad flag value itself

@@ -95,28 +95,32 @@ def _hermitian_with_smallest_eigenvalue(smallest):
     return 0.5 * (cov + cov.conj().T)
 
 
-INDEFINITE_TOL = 1e-10  # * mean_t, with mean_t = 1
+JITTER = 1e-12  # * mean_t, with mean_t = 1
 
 
 def test_generate_rejects_eigenvalue_below_tolerance():
-    cov = _hermitian_with_smallest_eigenvalue(-2.0 * INDEFINITE_TOL)
-    with pytest.raises(CovarianceModelError, match=r"min eigenvalue -2\.000e-10 "):
-        sm.generate_ensemble(cov, np.linspace(0.0, 5.0, 6), 1.0, 10, SEED)
+    for smallest, shown in ((-2.0 * JITTER, r"-2\.000e-12"), (-2e-10, r"-2\.000e-10")):
+        cov = _hermitian_with_smallest_eigenvalue(smallest)
+        with pytest.raises(CovarianceModelError, match=rf"min eigenvalue {shown} "):
+            sm.generate_ensemble(cov, np.linspace(0.0, 5.0, 6), 1.0, 10, SEED)
 
 
 def test_generate_accepts_eigenvalue_within_tolerance():
-    cov = _hermitian_with_smallest_eigenvalue(-0.5 * INDEFINITE_TOL)
-    ens = sm.generate_ensemble(cov, np.linspace(0.0, 5.0, 6), 1.0, 10, SEED)
-    assert ens.amplitudes.shape == (10, 6)
-    assert np.all(np.isfinite(ens.amplitudes))
+    # The jitter is the only tolerance: it lifts an eigenvalue just above -JITTER.
+    for smallest in (-0.5 * JITTER, -0.9 * JITTER):
+        cov = _hermitian_with_smallest_eigenvalue(smallest)
+        ens = sm.generate_ensemble(cov, np.linspace(0.0, 5.0, 6), 1.0, 10, SEED)
+        assert ens.amplitudes.shape == (10, 6)
+        assert np.all(np.isfinite(ens.amplitudes))
 
 
-FACTOR_GRIDS = pytest.mark.parametrize("grid", [
-    np.array(MOMENT_GRID),
-    np.array(COUNTING_GRID),
-    np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 25))),
-    np.linspace(0.0, 100.0, 400),
-], ids=["moment", "counting", "default-curve", "linear-400"])
+FACTOR_GRID_CASES = {
+    "moment": np.array(MOMENT_GRID),
+    "counting": np.array(COUNTING_GRID),
+    "default-curve": np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 25))),
+    "linear-400": np.linspace(0.0, 100.0, 400),
+}
+FACTOR_GRIDS = pytest.mark.parametrize("grid", FACTOR_GRID_CASES.values(), ids=FACTOR_GRID_CASES)
 
 
 def _per_pair_covariance(grid, q):
@@ -139,15 +143,18 @@ def test_covariance_matches_per_pair_loop(grid):
     assert np.all(np.signbit(np.diag(cov).imag))
 
 
-@FACTOR_GRIDS
+@pytest.mark.parametrize("grid", [*FACTOR_GRID_CASES.values(), np.linspace(0.0, 100.0, 2000)],
+                         ids=[*FACTOR_GRID_CASES, "linear-2000"])
 def test_covariance_factor_reproduces_covariance(grid):
-    # The dropped eigenpairs, at or below 1e-12 * mean_t, and the 1e-12 * mean_t
-    # jitter are the only departures from cov.
+    # The factor is that of cov plus the 1e-12 * mean_t jitter, to round-off.
     q = 0.01
     cov = sm.build_field_covariance(grid, q)
     factor = _covariance_factor(cov, q)
     assert np.all(np.triu(factor, 1) == 0.0)
-    assert np.abs(factor @ factor.conj().T - cov).max() <= 2e-12 * q
+    product = factor @ factor.conj().T
+    assert np.abs(product - cov).max() <= 2e-12 * q
+    product[np.diag_indices_from(product)] -= 1e-12 * q
+    assert np.abs(product - cov).max() <= 4e-15 * q
 
 
 # --- substreams -----------------------------------------------------------------
@@ -236,13 +243,15 @@ def test_generation_matches_per_row_reference(grid, r_total, seed):
 
 
 def test_generation_and_transmissions_hold_one_array_beside_their_result():
-    # numpy reports its array allocations to tracemalloc.  At R = 200,000 the
-    # amplitudes are several times the draw budget, so whole-array draws
-    # (2R x K floats and R x K complex values) would double the peak.
-    cov = sm.build_field_covariance(DEFAULT_CURVE_GRID, 0.01)
+    # numpy reports its array allocations to tracemalloc.  At K = 201 and
+    # R = 22,000 the amplitudes are several times the draw budget, so
+    # whole-array draws (2R x K floats and R x K complex values) would double
+    # the peak.
+    grid = np.linspace(0.0, 100.0, 201)
+    cov = sm.build_field_covariance(grid, 0.01)
     tracemalloc.start()
     try:
-        ens = sm.generate_ensemble(cov, DEFAULT_CURVE_GRID, 0.01, 200_000, SEED)
+        ens = sm.generate_ensemble(cov, grid, 0.01, 22_000, SEED)
         _, generation_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
