@@ -18,6 +18,7 @@ import json
 import sys
 from contextlib import contextmanager
 from itertools import islice
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .ensemble import (
     rayleigh_check,
     substream,
 )
-from .errors import SpeckleMemError
+from .errors import DomainError, SpeckleMemError
 from .photons import QuantumState, sample_transmitted_counts, summarize_counts
 
 EXIT_OK = 0
@@ -60,49 +61,79 @@ SCALE_INVARIANCE_TOL = 1e-12
 MOMENT_GRID = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 COUNTING_GRID = (0.0, 1.0, 4.0, 16.0)
 MAX_COUNTING_REALIZATIONS = 2000
-# Resolved settings echoed in the validate report's "config" block.
-REPORT_CONFIG_KEYS = ("grid_min", "grid_max", "grid_points", "grid_scale", "mean_t",
-                      "realizations", "shots", "seed")
 # Curve rows formatted and written at a time, so the CSV text is never whole.
 CSV_CHUNK_ROWS = 8192
-# Allowed values of the options with a fixed set, for their flags and config keys alike.
-CHOICES = {
-    "grid_scale": ("lin", "log"),
-    "format": ("csv", "json"),
-    "state": ("fock", "coherent", "thermal"),
-}
 
 
 class ConfigError(Exception):
     """Invalid or inconsistent run configuration."""
 
 
-DEFAULTS: dict = {
-    "grid_min": 1e-2,
-    "grid_max": 1e2,
-    "grid_points": 25,
-    "grid_scale": "log",
-    "fano": [0.0, 1.0, 2.0],
-    "l_over_ell": [3.0, 4.0, 5.0],
-    "mean_t": 0.01,
-    "realizations": 100_000,
-    "shots": 1000,
-    "seed": None,
-    "out": None,
-    "format": None,
-    "state": "coherent",
-    "mean_photons": 10.0,
-    "transmission": 0.5,
-}
+def _whole(value) -> int:
+    """An int, an integral float or an integer literal, as an int; never a bool."""
+    if not isinstance(value, bool):
+        try:
+            return _checked_whole(value, "value")
+        except DomainError:
+            pass
+    raise argparse.ArgumentTypeError(f"expected a whole number, got {value!r}")
 
 
-def _float_list(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
+def _real(value) -> float:
+    """A number or a numeric literal, as a finite float; never a bool."""
     try:
-        return [float(v) for v in str(text).split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        v = float("nan")
+    if isinstance(value, bool) or not np.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {value!r}")
+    return v
+
+
+def _reals(value) -> list[float]:
+    """A list, or comma-separated text, of finite floats."""
+    if not isinstance(value, list):
+        value = [v for v in str(value).split(",") if v.strip() != ""]
+    return [_real(v) for v in value]
+
+
+def _path(value) -> str:
+    if not (isinstance(value, str) and value):
+        raise argparse.ArgumentTypeError(f"expected a file path, got {value!r}")
+    return value
+
+
+class Option(NamedTuple):
+    """One option of the CLI, taken alike as a --flag and as a config-file key."""
+
+    commands: tuple[str, ...]
+    default: object
+    kind: Callable | tuple[str, ...]  # the converter, or the allowed values
+    help: str
+
+
+GRID, SEEDED = ("curves", "validate"), ("validate", "sample-stats")
+ALL = ("curves", "validate", "sample-stats")
+OPTIONS: dict[str, Option] = {
+    "grid_min": Option(GRID, 1e-2, _real, "smallest offset x on the grid"),
+    "grid_max": Option(GRID, 1e2, _real, "largest offset x on the grid"),
+    "grid_points": Option(GRID, 25, _whole, "number of grid points"),
+    "grid_scale": Option(GRID, "log", ("lin", "log"), "grid spacing"),
+    "fano": Option(("curves",), [0.0, 1.0, 2.0], _reals, "comma-separated Fano factors"),
+    "l_over_ell": Option(("curves",), [3.0, 4.0, 5.0], _reals,
+                         "comma-separated thickness / mean-free-path ratios"),
+    "mean_t": Option(("validate",), 0.01, _real, "mean transmission"),
+    "realizations": Option(("validate",), 100_000, _whole, "disorder realizations"),
+    "shots": Option(SEEDED, 1000, _whole, "photon-count shots"),
+    "seed": Option(SEEDED, None, _whole, "master seed (required)"),
+    "state": Option(("sample-stats",), "coherent", ("fock", "coherent", "thermal"),
+                    "input state kind"),
+    "mean_photons": Option(("sample-stats",), 10.0, _real, "mean photon number"),
+    "transmission": Option(("sample-stats",), 0.5, _real, "intensity transmission in [0, 1]"),
+    "out": Option(ALL, None, _path, "output path (stdout when omitted)"),
+    "format": Option(ALL, None, ("csv", "json"), "output format"),
+}
+DEFAULTS = {key: option.default for key, option in OPTIONS.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,112 +143,72 @@ def _build_parser() -> argparse.ArgumentParser:
         "analytic curves and Monte Carlo validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, grid=False, mc=False, sampler=False, fig2=False):
-        if grid:
-            p.add_argument("--grid-min", type=float, help="smallest offset x on the grid")
-            p.add_argument("--grid-max", type=float, help="largest offset x on the grid")
-            p.add_argument("--grid-points", type=int, help="number of grid points")
-            p.add_argument("--grid-scale", choices=CHOICES["grid_scale"], help="grid spacing")
-        if fig2:
-            p.add_argument("--fano", type=_float_list, help="comma-separated Fano factors")
-            p.add_argument(
-                "--l-over-ell",
-                type=_float_list,
-                dest="l_over_ell",
-                help="comma-separated thickness / mean-free-path ratios",
-            )
-        if grid or mc:
-            p.add_argument("--mean-t", type=float, dest="mean_t", help="mean transmission")
-        if mc:
-            p.add_argument("--realizations", type=int, help="disorder realizations")
-        if mc or sampler:
-            p.add_argument("--shots", type=int, help="photon-count shots")
-            p.add_argument("--seed", type=int, help="master seed (required)")
-        if sampler:
-            p.add_argument("--state", choices=CHOICES["state"], help="input state kind")
-            p.add_argument("--mean-photons", type=float, dest="mean_photons", help="mean photon number")
-            p.add_argument("--transmission", type=float, help="intensity transmission in [0, 1]")
-        p.add_argument("--out", help="output path (stdout when omitted)")
-        p.add_argument("--format", choices=CHOICES["format"], help="output format")
+    commands = {
+        "curves": sub.add_parser("curves", help="emit analytic correlation curves"),
+        "validate": sub.add_parser("validate", help="run the Monte-Carlo-vs-theory suite"),
+        "sample-stats": sub.add_parser("sample-stats", help="draw and summarize photon counts"),
+    }
+    commands["curves"].add_argument("figure", choices=("fig1", "fig2"),
+                                    help="which curve family to emit")
+    for key, option in OPTIONS.items():
+        kind = {"choices": option.kind} if isinstance(option.kind, tuple) else {"type": option.kind}
+        for command in option.commands:
+            commands[command].add_argument("--" + key.replace("_", "-"), dest=key,
+                                           help=option.help, **kind)
+    for p in commands.values():
         p.add_argument("--config", help="JSON config file; flags take precedence")
         p.add_argument("--show-config", action="store_true", help="print resolved config and exit")
-
-    p_curves = sub.add_parser("curves", help="emit analytic correlation curves")
-    p_curves.add_argument("figure", choices=("fig1", "fig2"), help="which curve family to emit")
-    add_common(p_curves, grid=True, fig2=True)
-
-    p_validate = sub.add_parser("validate", help="run the Monte-Carlo-vs-theory suite")
-    add_common(p_validate, grid=True, mc=True)
-
-    p_stats = sub.add_parser("sample-stats", help="draw and summarize photon counts")
-    add_common(p_stats, sampler=True)
-
     return parser
 
 
+def _config_value(key: str, value):
+    """A config-file value checked and converted like its flag's."""
+    kind = OPTIONS[key].kind
+    if value is None and OPTIONS[key].default is None:
+        return None  # null restates an option that is unset by default
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{key} must be one of {', '.join(kind)}, got {value!r}")
+        return value
+    try:
+        return kind(value)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"malformed config value for {key}: {exc}") from exc
+
+
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, optional config file and explicit flags (in that order)."""
-    cfg = dict(DEFAULTS)
-    path = getattr(args, "config", None)
-    if path:
+    """The command's options: defaults, then the config file, then explicit flags."""
+    keys = [key for key, option in OPTIONS.items() if args.command in option.commands]
+    cfg = {key: DEFAULTS[key] for key in keys}
+    if args.config:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        unknown = set(loaded) - set(DEFAULTS)
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        unknown = set(loaded) - set(keys)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    try:
-        cfg["fano"] = _float_list(cfg["fano"])
-        cfg["l_over_ell"] = _float_list(cfg["l_over_ell"])
-        for key in ("grid_points", "realizations", "shots"):
-            cfg[key] = _checked_whole(cfg[key], key)
-        for key in ("grid_min", "grid_max", "mean_t", "mean_photons", "transmission"):
-            cfg[key] = float(cfg[key])
-        if cfg["seed"] is not None:
-            cfg["seed"] = _checked_whole(cfg["seed"], "seed")
-    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
+            raise ConfigError(f"config keys that {args.command} does not take: {sorted(unknown)}")
+        cfg.update((key, _config_value(key, value)) for key, value in loaded.items())
+    cfg.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
     cfg["command"] = args.command
     if args.command == "curves":
         cfg["figure"] = args.figure
-    cfg["show_config"] = bool(getattr(args, "show_config", False))
     return cfg
 
 
-def _check_config(cfg: dict) -> None:
-    for key, allowed in CHOICES.items():
-        # An unset format (None) means each command's own default.
-        if cfg[key] not in allowed and not (key == "format" and cfg[key] is None):
-            raise ConfigError(f"{key} must be one of {', '.join(allowed)}, got {cfg[key]!r}")
-    if cfg["grid_points"] < 2:
-        raise ConfigError("grid needs at least 2 points")
-    if not cfg["grid_min"] < cfg["grid_max"]:
-        raise ConfigError("grid-min must be smaller than grid-max")
-    if cfg["grid_scale"] == "log" and cfg["grid_min"] <= 0:
-        raise ConfigError("log grids need grid-min > 0")
-    if any(f < 0 for f in cfg["fano"]):
-        raise ConfigError("fano values must be >= 0")
-    if cfg["command"] == "curves" and cfg.get("figure") == "fig2" and cfg["grid_min"] <= 0:
-        raise ConfigError("fig2 evaluates the mesoscopic kernel: grid-min must be > 0")
-    if cfg["command"] in ("validate", "sample-stats") and cfg["seed"] is None:
-        raise ConfigError(f"{cfg['command']} needs --seed for reproducibility")
-    if cfg["command"] == "validate" and cfg["format"] not in (None, "json"):
-        raise ConfigError("validate reports are JSON only")
-
-
 def _build_grid(cfg: dict, include_zero: bool) -> np.ndarray:
-    if cfg["grid_scale"] == "log":
-        grid = np.geomspace(cfg["grid_min"], cfg["grid_max"], cfg["grid_points"])
-    else:
-        grid = np.linspace(cfg["grid_min"], cfg["grid_max"], cfg["grid_points"])
+    lo, hi, n = cfg["grid_min"], cfg["grid_max"], cfg["grid_points"]
+    log = cfg["grid_scale"] == "log"
+    if n < 2:
+        raise ConfigError("grid needs at least 2 points")
+    if not lo < hi:
+        raise ConfigError("grid-min must be smaller than grid-max")
+    if lo < 0 or (log and lo == 0):
+        raise ConfigError("grid-min must be >= 0, and > 0 on a log grid")
+    grid = (np.geomspace if log else np.linspace)(lo, hi, n)
     if include_zero and grid[0] > 0.0:
         grid = np.concatenate(([0.0], grid))
     if np.any(np.diff(grid) <= 0):
@@ -264,6 +255,10 @@ def _column_tag(value: float) -> str:
 
 
 def cmd_curves(cfg: dict) -> int:
+    if any(f < 0 for f in cfg["fano"]):
+        raise ConfigError("fano values must be >= 0")
+    if cfg["figure"] == "fig2" and cfg["grid_min"] <= 0:
+        raise ConfigError("fig2 evaluates the mesoscopic kernel: grid-min must be > 0")
     # Every column is a list of Python floats, written with repr.
     if cfg["figure"] == "fig1":
         xs = _build_grid(cfg, include_zero=True).tolist()
@@ -327,8 +322,13 @@ def _curve_check(name: str, estimate, theory_fn, threshold: float) -> dict:
 
 
 def cmd_validate(cfg: dict) -> int:
+    if cfg["format"] not in (None, "json"):
+        raise ConfigError("validate reports are JSON only")
+    curve_grid = _build_grid(cfg, include_zero=True)
     seed = cfg["seed"]
     mean_t = cfg["mean_t"]
+    # The coherent input of the shot-noise curve and the counting check.
+    coherent = QuantumState.coherent(10.0)
     checks: list[dict] = []
 
     moment_ens = build_ensemble(np.array(MOMENT_GRID), mean_t, cfg["realizations"], seed)
@@ -344,10 +344,9 @@ def cmd_validate(cfg: dict) -> int:
                    "pvalue": rayleigh.pvalue, "significance": KS_SIGNIFICANCE,
                    "passed": rayleigh.passed})
 
-    curve_grid = _build_grid(cfg, include_zero=True)
     curve_ens = build_ensemble(curve_grid, mean_t, cfg["realizations"], seed)
 
-    shot = estimate_noise_correlation(curve_ens, QuantumState.coherent(cfg["mean_photons"]))
+    shot = estimate_noise_correlation(curve_ens, coherent)
     checks.append(_curve_check("shot_noise_curve", shot, shot_noise_correlation, Z_CURVES))
 
     classical = estimate_noise_correlation(curve_ens, CLASSICAL)
@@ -374,7 +373,6 @@ def cmd_validate(cfg: dict) -> int:
 
     counting_r = min(cfg["realizations"], MAX_COUNTING_REALIZATIONS)
     counting_ens = build_ensemble(np.array(COUNTING_GRID), mean_t, counting_r, seed)
-    coherent = QuantumState.coherent(cfg["mean_photons"])
     counted = estimate_noise_correlation(
         counting_ens, coherent, mode="counting", shots=cfg["shots"], seed=seed
     )
@@ -389,7 +387,7 @@ def cmd_validate(cfg: dict) -> int:
                shots=cfg["shots"], realizations=counting_r, points=points)
     )
 
-    config = {key: cfg[key] for key in REPORT_CONFIG_KEYS}
+    config = {k: v for k, v in cfg.items() if k in OPTIONS and k not in ("out", "format")}
     config.update(moment_grid=list(MOMENT_GRID), counting_grid=list(COUNTING_GRID),
                   counting_realizations=counting_r)
     passed = all(check["passed"] for check in checks)
@@ -434,11 +432,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        if cfg["show_config"]:
-            shown = {k: v for k, v in cfg.items() if k != "show_config"}
-            _write_json(None, shown)
+        if args.show_config:
+            _write_json(None, cfg)
             return EXIT_OK
-        _check_config(cfg)
+        if "seed" in cfg and cfg["seed"] is None:
+            raise ConfigError(f"{cfg['command']} needs --seed for reproducibility")
         if cfg["command"] == "curves":
             return cmd_curves(cfg)
         if cfg["command"] == "validate":

@@ -1,5 +1,6 @@
 """CLI contracts: file formats, reproducibility, config handling, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -109,12 +110,10 @@ def test_curves_fig1_streams_the_rows_of_several_chunks(tmp_path, capsys):
         assert capsys.readouterr().out == text, fmt
 
 
-def test_curves_fig2_independent_of_mean_t(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    cli.main(["curves", "fig2", "--mean-t", "0.01", "--out", str(a)])
-    cli.main(["curves", "fig2", "--mean-t", "0.37", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+def test_curves_takes_no_mean_t():
+    # fig2 is normalized per unit mean transmission, so curves reads no mean_t.
+    with pytest.raises(SystemExit):
+        cli.main(["curves", "fig2", "--mean-t", "0.37"])
 
 
 def test_curves_fig2_state_symmetry(tmp_path):
@@ -187,6 +186,9 @@ def test_validate_passes_and_is_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     report = json.loads(a.read_text())
     assert report["passed"] is True
+    options = {k for k, o in cli.OPTIONS.items() if "validate" in o.commands} - {"out", "format"}
+    extra = {"moment_grid", "counting_grid", "counting_realizations"}
+    assert set(report["config"]) == options | extra
     names = [c["name"] for c in report["checks"]]
     assert names == [
         "moment_suite",
@@ -293,6 +295,17 @@ def test_validate_too_few_realizations(tmp_path, capsys):
 
 def test_validate_rejects_csv_format():
     assert cli.main(["validate", "--seed", "1", "--format", "csv"]) == cli.EXIT_CONFIG
+
+
+def test_validate_checks_its_curve_grid_before_drawing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ensemble was drawn before the grid was checked")
+
+    monkeypatch.setattr(cli, "build_ensemble", refuse)
+    # linspace(1, 1 + 2**-52, 3) repeats 1.0.
+    argv = ["validate", "--seed", "1", "--grid-scale", "lin", "--grid-min", "1",
+            "--grid-max", "1.0000000000000002", "--grid-points", "3"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
 
 
 def test_validate_domain_error_exit(capsys):
@@ -412,9 +425,59 @@ def test_config_file_merging(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
-    for unknown in ({"grid_pointz": 4}, {"workers": 1}):
+    for unknown in ({"grid_pointz": 4}, {"workers": 1}, {"seed": 1}, {"mean_t": 0.01}):
         cfg.write_text(json.dumps(unknown))
         assert cli.main(["curves", "fig1", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    # Each command takes only the keys it reads.
+    cases = [("sample-stats", {"grid_points": 4}), ("validate", {"mean_photons": 3}),
+             ("validate", {"state": "fock"})]
+    for argv, keys in cases:
+        cfg.write_text(json.dumps(keys))
+        assert cli.main([argv, "--seed", "1", "--config", str(cfg)]) == cli.EXIT_CONFIG, keys
+
+
+@pytest.mark.parametrize("text", ["5", "null", '"abc"', "[1, 2]"])
+def test_config_file_must_hold_an_object(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli.main(["curves", "fig1", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_config_out_must_be_a_path(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for out in (1, True, 5, ""):
+        cfg.write_text(json.dumps({"out": out}))
+        assert cli.main(["curves", "fig1", "--config", str(cfg)]) == cli.EXIT_CONFIG, out
+        assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit):
+        cli.main(["curves", "fig1", "--out", ""])
+
+
+def test_booleans_and_non_finite_numbers_are_not_option_values(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for keys in ({"seed": True}, {"mean_t": True}, {"shots": False}, {"grid_max": True},
+                 {"grid_max": float("inf")}, {"mean_t": float("nan")}, {"fano": [0, True]},
+                 {"l_over_ell": [3, float("-inf")]}):
+        cfg.write_text(json.dumps(keys))
+        command = ["curves", "fig2"] if set(keys) <= {"fano", "l_over_ell"} else ["validate"]
+        assert cli.main([*command, "--config", str(cfg), "--show-config"]) == cli.EXIT_CONFIG, keys
+    for flags in (["--grid-max", "inf"], ["--grid-min", "nan"], ["--fano", "0,inf"]):
+        with pytest.raises(SystemExit):
+            cli.main(["curves", "fig1", *flags])
+    with pytest.raises(SystemExit):
+        cli.main(["sample-stats", "--seed", "1", "--transmission", "inf"])
+
+
+def test_parser_flags_are_the_table_options():
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subparsers.choices.items():
+        flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        options = [k for k, o in cli.OPTIONS.items() if command in o.commands]
+        expected = {"--" + k.replace("_", "-") for k in options} | {"--config", "--show-config"}
+        assert flags == expected, command
+    assert set(subparsers.choices) == {c for o in cli.OPTIONS.values() for c in o.commands}
 
 
 def test_config_file_coerces_numeric_types(tmp_path):
@@ -478,6 +541,8 @@ def test_bad_grid_is_config_error():
         # linspace(1, 1 + 2**-52, 3) repeats 1.0.
         "repeated offsets": ["--grid-scale", "lin", "--grid-min", "1",
                              "--grid-max", "1.0000000000000002", "--grid-points", "3"],
+        # The span max - min would overflow a double.
+        "negative grid-min": ["--grid-scale", "lin", "--grid-min=-1e308", "--grid-max", "1e308"],
     }
     for name, flags in cases.items():
         assert cli.main(["curves", "fig1", *flags]) == cli.EXIT_CONFIG, name
