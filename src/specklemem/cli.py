@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
+from dataclasses import asdict, replace
 from itertools import islice
 from typing import Callable, NamedTuple
 
@@ -59,7 +61,8 @@ SCALE_INVARIANCE_TOL = 1e-12
 
 # Fixed grid of the moment suite; the curve checks use the configurable grid.
 MOMENT_GRID = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-COUNTING_GRID = (0.0, 1.0, 4.0, 16.0)
+# The moment-ensemble columns, (0, 1, 4, 16), that the counting check reads in its first rows.
+COUNTING_GRID = MOMENT_GRID[::2]
 MAX_COUNTING_REALIZATIONS = 2000
 # Curve rows formatted and written at a time, so the CSV text is never whole.
 CSV_CHUNK_ROWS = 8192
@@ -216,14 +219,14 @@ def _build_grid(cfg: dict, include_zero: bool) -> np.ndarray:
     return grid
 
 
-@contextmanager
 def _output(path):
-    """The text stream of an output path: stdout when None, left open."""
+    """A context of the text stream of an output path: stdout when None, left open."""
     if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_json(path, payload) -> None:
@@ -324,6 +327,9 @@ def _curve_check(name: str, estimate, theory_fn, threshold: float) -> dict:
 def cmd_validate(cfg: dict) -> int:
     if cfg["format"] not in (None, "json"):
         raise ConfigError("validate reports are JSON only")
+    out, folder = cfg["out"], os.path.dirname(os.path.abspath(cfg["out"] or "."))
+    if out is not None and (os.path.isdir(out) or not os.access(folder, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write {out}: it is a directory or its folder is not writable")
     curve_grid = _build_grid(cfg, include_zero=True)
     seed = cfg["seed"]
     mean_t = cfg["mean_t"]
@@ -372,10 +378,10 @@ def cmd_validate(cfg: dict) -> int:
     )
 
     counting_r = min(cfg["realizations"], MAX_COUNTING_REALIZATIONS)
-    counting_ens = build_ensemble(np.array(COUNTING_GRID), mean_t, counting_r, seed)
-    counted = estimate_noise_correlation(
-        counting_ens, coherent, mode="counting", shots=cfg["shots"], seed=seed
-    )
+    counting_ens = replace(moment_ens, amplitudes=moment_ens.amplitudes[:counting_r, ::2],
+                           grid=moment_ens.grid[::2])
+    counted = estimate_noise_correlation(counting_ens, coherent, mode="counting",
+                                         shots=cfg["shots"])
     analytic = estimate_noise_correlation(counting_ens, coherent)
     c, a = counted.curve, analytic.curve
     combined = np.hypot(c.stderr, a.stderr)
@@ -413,15 +419,8 @@ def cmd_sample_stats(cfg: dict) -> int:
             "mean_photons": cfg["mean_photons"],
             "transmission": cfg["transmission"],
             "counts": [int(c) for c in counts],
-            "summary": {
-                "shots": summary.shots,
-                "mean": _json_float(summary.mean),
-                "variance": _json_float(summary.variance),
-                "fano": _json_float(summary.fano),
-                "stderr_mean": _json_float(summary.stderr_mean),
-                "stderr_variance": _json_float(summary.stderr_variance),
-                "stderr_fano": _json_float(summary.stderr_fano),
-            },
+            "summary": {k: _json_float(v) if isinstance(v, float) else v
+                        for k, v in asdict(summary).items()},
         }
         _write_json(cfg["out"], payload)
     return EXIT_OK

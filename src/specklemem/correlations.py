@@ -295,7 +295,7 @@ def transmission_pair_moment(x, mean_t, geometry: DiffusionGeometry) -> float:
 
 @dataclass
 class CorrelationCurve:
-    """A correlation function sampled on a grid of normalized offsets."""
+    """A correlation function sampled on a non-decreasing grid of normalized offsets."""
 
     offsets: np.ndarray
     values: np.ndarray
@@ -308,8 +308,8 @@ class CorrelationCurve:
             raise DomainError("offsets and values must be 1-d and equally long")
         if not np.all(np.isfinite(self.offsets)):
             raise DomainError("curve offsets must be finite")
-        if self.offsets.size > 1 and not np.all(np.diff(self.offsets) > 0):
-            raise DomainError("curve offsets must be strictly increasing")
+        if np.any(np.diff(self.offsets) < 0.0):
+            raise DomainError("curve offsets must be ordered (non-decreasing)")
         if self.stderr is not None:
             self.stderr = np.asarray(self.stderr, dtype=float)
             if self.stderr.shape != self.values.shape:

@@ -297,19 +297,82 @@ def test_validate_rejects_csv_format():
     assert cli.main(["validate", "--seed", "1", "--format", "csv"]) == cli.EXIT_CONFIG
 
 
-def test_validate_checks_its_curve_grid_before_drawing(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("an ensemble was drawn before the grid was checked")
+def _refuse_to_draw(*args, **kwargs):
+    raise AssertionError("an ensemble was drawn before the configuration was checked")
 
-    monkeypatch.setattr(cli, "build_ensemble", refuse)
+
+def test_validate_checks_its_curve_grid_before_drawing(monkeypatch):
+    monkeypatch.setattr(cli, "build_ensemble", _refuse_to_draw)
     # linspace(1, 1 + 2**-52, 3) repeats 1.0.
     argv = ["validate", "--seed", "1", "--grid-scale", "lin", "--grid-min", "1",
             "--grid-max", "1.0000000000000002", "--grid-points", "3"]
     assert cli.main(argv) == cli.EXIT_CONFIG
 
 
+def _unwritable_out(tmp_path, where):
+    return tmp_path / "missing" / "out.txt" if where == "missing folder" else tmp_path
+
+
+def _assert_one_line_naming(out, capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"specklemem: configuration error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize("where", ["missing folder", "directory"])
+def test_validate_checks_its_out_path_before_drawing(where, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_ensemble", _refuse_to_draw)
+    out = _unwritable_out(tmp_path, where)
+    assert cli.main(["validate", "--seed", "1", "--out", str(out)]) == cli.EXIT_CONFIG
+    _assert_one_line_naming(out, capsys)
+
+
 def test_validate_domain_error_exit(capsys):
     assert cli.main(["validate", "--seed", "1", "--mean-t", "2.0"]) == cli.EXIT_DOMAIN
+
+
+def test_validate_domain_error_leaves_report_path_alone(tmp_path):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("earlier report\n")
+    for out in (new, old):
+        argv = ["validate", "--seed", "1", "--mean-t", "2.0", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_DOMAIN
+    assert not new.exists()
+    assert old.read_text() == "earlier report\n"
+
+
+def test_validate_draws_two_ensembles_and_counts_on_the_moment_rows(tmp_path, monkeypatch):
+    built, counted = [], []
+    build, estimate = cli.build_ensemble, cli.estimate_noise_correlation
+
+    def recording_build(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    def recording_estimate(ens, state, mode="analytic_variance", **kwargs):
+        if mode == "counting":
+            counted.append(ens)
+        return estimate(ens, state, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "build_ensemble", recording_build)
+    monkeypatch.setattr(cli, "estimate_noise_correlation", recording_estimate)
+    out = tmp_path / "rep.json"
+    # 2,500 realizations: the counting check reads the first 2,000 of them.
+    code = cli.main(_FAST_VALIDATE + ["--realizations", "2500", "--out", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_SUITE)
+    assert len(built) == 2
+    (ens,) = counted
+    moment = build(np.array(cli.MOMENT_GRID), 0.01, 2500, 777)
+    assert ens.grid.tolist() == list(cli.COUNTING_GRID)
+    assert (ens.mean_t, ens.seed) == (0.01, 777)
+    assert ens.amplitudes.shape == (2000, 4)
+    assert ens.amplitudes.tobytes() == moment.amplitudes[:2000, ::2].tobytes()
+    assert json.loads(out.read_text())["config"]["counting_realizations"] == 2000
+
+
+def test_counting_grid_is_a_subset_of_the_moment_grid():
+    assert cli.COUNTING_GRID == (0.0, 1.0, 4.0, 16.0)
+    assert set(cli.COUNTING_GRID) <= set(cli.MOMENT_GRID)
 
 
 def test_validate_suite_failure_exit(tmp_path, monkeypatch):
@@ -383,6 +446,19 @@ def test_sample_stats_json(tmp_path):
     assert max(payload["counts"]) <= 4
 
 
+@pytest.mark.parametrize("state", ["fock", "coherent", "thermal"])
+def test_sample_stats_json_summary_without_photons(state, tmp_path):
+    out = tmp_path / "counts.json"
+    argv = ["sample-stats", "--state", state, "--mean-photons", "0", "--shots", "10",
+            "--seed", "9", "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == 0
+    # Every CountSummary field, with null for the Fano entries of a zero mean.
+    assert json.loads(out.read_text())["summary"] == {
+        "shots": 10, "mean": 0.0, "variance": 0.0, "fano": None,
+        "stderr_mean": 0.0, "stderr_variance": 0.0, "stderr_fano": None,
+    }
+
+
 @pytest.mark.parametrize("state,mean_photons", [
     ("fock", "1e20"), ("coherent", "1e30"), ("thermal", "1e300"),
 ])
@@ -395,6 +471,22 @@ def test_sample_stats_rejects_counts_beyond_int64(state, mean_photons, capsys):
 
 def test_sample_stats_needs_seed():
     assert cli.main(["sample-stats", "--state", "coherent"]) == cli.EXIT_CONFIG
+
+
+# --- output paths -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("where", ["missing folder", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["curves", "fig1"],
+    ["curves", "fig2", "--format", "json"],
+    ["sample-stats", "--seed", "1"],
+    ["sample-stats", "--seed", "1", "--format", "json"],
+], ids=["curves csv", "curves json", "sample-stats csv", "sample-stats json"])
+def test_unwritable_out_is_a_config_error(argv, where, tmp_path, capsys):
+    out = _unwritable_out(tmp_path, where)
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    _assert_one_line_naming(out, capsys)
 
 
 # --- config handling ---------------------------------------------------------------

@@ -396,8 +396,11 @@ def test_non_real_arguments_raise_domain_error(call, name):
 
 
 def test_curve_validates_monotonic_offsets():
-    with pytest.raises(DomainError):
-        sm.CorrelationCurve(offsets=[0.0, 1.0, 1.0], values=[1.0, 2.0, 3.0])
+    # Offsets follow the ensemble grid's rule: ordered, coincident points allowed.
+    with pytest.raises(DomainError, match=r"^curve offsets must be ordered \(non-decreasing\)$"):
+        sm.CorrelationCurve(offsets=[0.0, 2.0, 1.0], values=[1.0, 2.0, 3.0])
+    curve = sm.CorrelationCurve(offsets=[0.0, 1.0, 1.0], values=[1.0, 2.0, 3.0])
+    assert len(curve) == 3
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -367,6 +367,24 @@ def test_coincident_grid_points_are_identical():
     assert spread <= 1e-4 * math.sqrt(0.01)
 
 
+def test_generated_rows_are_prefix_stable():
+    # So validate's counting check, on the first 2,000 moment rows, does not depend on R.
+    grid = np.array(MOMENT_GRID)
+    longer = sm.build_ensemble(grid, 0.01, 3000, SEED)
+    shorter = sm.build_ensemble(grid, 0.01, 2000, SEED)
+    assert longer.amplitudes[:2000].tobytes() == shorter.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["analytic_variance", "counting"])
+def test_coincident_offsets_give_finite_curves(mode):
+    ens = sm.build_ensemble([0.0, 1.0, 1.0, 2.0], 0.01, 200, SEED)
+    est = sm.estimate_noise_correlation(ens, sm.QuantumState.coherent(10.0), mode=mode,
+                                        shots=20, seed=SEED)
+    assert est.curve.offsets.tolist() == [0.0, 1.0, 1.0, 2.0]
+    assert np.all(np.isfinite(est.curve.values))
+    assert np.all(np.isfinite(est.curve.stderr))
+
+
 def test_distant_points_decorrelate():
     ens = sm.build_ensemble(np.array([0.0, 1e4]), 0.01, 10_000, SEED)
     t = ens.amplitudes
